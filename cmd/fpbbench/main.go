@@ -15,21 +15,6 @@
 // nonzero for regressions only with -strict, so CI can surface warnings
 // without failing the build.
 //
-// Scale mode measures how the parallel simulation engine scales with cores:
-//
-//	fpbbench -cpus 1,2,4 [-shards 0,8,16,64] [-instr 20000] [-workloads mcf_m,mix_1]
-//
-// It runs the Figure 18 experiment in-process once per (shard count,
-// GOMAXPROCS) pair (one simulation at a time, so the only parallelism
-// measured is the sharded engine's; shards=0 is the sequential engine) and
-// prints one benchmark-formatted line per pair with the wall time, the
-// speedup over that shard count's first cpu value, and the engine's own
-// execution telemetry — sweeps, windows per sweep, barrier wait — so a
-// scaling regression is diagnosable from the snapshot alone. Every run's
-// result table must be identical across the whole grid; any divergence is a
-// determinism bug and exits nonzero. If a sharded run is slower than the
-// sequential engine at the same cpu count, a loud warning goes to stderr.
-//
 // Warm-start mode measures the checkpoint warm-start payoff for sweeps:
 //
 //	fpbbench -warm 200000 [-instr 20000] [-workloads mcf_m,mix_1]
@@ -51,14 +36,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"fpb/internal/exp"
-	"fpb/internal/sim"
 )
 
 // Snapshot is the on-disk format: benchmark name → metric name → value.
@@ -73,22 +56,11 @@ func main() {
 		compare   = flag.Bool("compare", false, "compare two snapshot files given as arguments")
 		threshold = flag.Float64("threshold", 0.20, "relative ns/op or allocs/op growth treated as a regression")
 		strict    = flag.Bool("strict", false, "exit nonzero when compare finds regressions")
-		cpus      = flag.String("cpus", "", "comma-separated GOMAXPROCS values: run the Fig. 18 scaling measurement at each")
-		shards    = flag.String("shards", "", "comma-separated shard counts for -cpus runs (0 = sequential engine; default: 0 and one shard per bank lane)")
-		instr     = flag.Uint64("instr", 20_000, "instructions per core for -cpus/-warm runs")
-		reps      = flag.Int("reps", 1, "repetitions per -cpus grid point; the minimum wall time is reported")
-		workloads = flag.String("workloads", "", "comma-separated workload subset for -cpus/-warm runs (default: all 13)")
+		instr     = flag.Uint64("instr", 20_000, "instructions per core for -warm runs")
+		workloads = flag.String("workloads", "", "comma-separated workload subset for -warm runs (default: all 13)")
 		warm      = flag.Uint64("warm", 0, "warmup cycles: run the Fig. 18 sweep cold vs checkpoint-warm-started and report the wall-clock ratio")
 	)
 	flag.Parse()
-
-	if *cpus != "" {
-		if err := runScale(os.Stdout, *cpus, *shards, *instr, *reps, *workloads); err != nil {
-			fmt.Fprintln(os.Stderr, "fpbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *warm > 0 {
 		if err := runWarm(os.Stdout, *warm, *instr, *workloads); err != nil {
@@ -139,123 +111,13 @@ func main() {
 	}
 }
 
-// runScale measures wall-clock scaling of the parallel engine: the Figure
-// 18 experiment once per (shard count, GOMAXPROCS) pair, single-simulation
-// workers so the sharded engine is the only source of parallelism. Results
-// must be identical across the whole grid — including the sequential
-// shards=0 rows (internal/system's determinism matrix test enforces the
-// byte-identical-Result side; this asserts the rendered tables end to end).
-// Lines are benchmark-formatted so ingest mode and bench.sh parse them like
-// any other benchmark; sharded rows carry the engine's execution telemetry
-// as custom metrics.
-func runScale(w io.Writer, cpuList, shardList string, instr uint64, reps int, workloads string) error {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	cfg := sim.DefaultConfig()
-	if shardList == "" {
-		shardList = fmt.Sprintf("0,%d", cfg.Lanes())
-	}
-	var cpuVals, shardVals []int
-	for _, field := range strings.Split(cpuList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -cpus value %q", field)
-		}
-		cpuVals = append(cpuVals, n)
-	}
-	for _, field := range strings.Split(shardList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad -shards value %q", field)
-		}
-		shardVals = append(shardVals, n)
-	}
-	e, ok := exp.ByID("fig18")
-	if !ok {
-		return fmt.Errorf("fig18 experiment not registered")
-	}
-	newOpt := func(shards int) exp.Options {
-		opt := exp.Options{InstrPerCore: instr, Workers: 1, Shards: shards}
-		if workloads != "" {
-			opt.Workloads = strings.Split(workloads, ",")
-		}
-		return opt
-	}
-	// Untimed warm-up: workload tables, allocator arenas and the page
-	// cache are one-time costs that would otherwise all land on the first
-	// grid point and masquerade as scaling.
-	if _, err := e.Run(exp.NewRunner(newOpt(shardVals[0]))); err != nil {
-		return err
-	}
-	lookahead := float64(cfg.LookaheadCycles())
-	var refTable string
-	seqBase := make(map[int]time.Duration) // cpus -> sequential (shards=0) wall time
-	for _, shards := range shardVals {
-		var base time.Duration
-		for _, n := range cpuVals {
-			runtime.GOMAXPROCS(n)
-			// Min-of-reps: wall time on a shared host is noisy, and the
-			// minimum is the best estimate of the undisturbed cost. Every
-			// repetition's table is still determinism-checked.
-			var elapsed time.Duration
-			var st sim.ShardStats
-			for r := 0; r < max(reps, 1); r++ {
-				// Collect earlier grid points' garbage outside the timed
-				// region, so heap debt from one configuration is not
-				// billed to the next.
-				runtime.GC()
-				sim.ResetGlobalShardStats()
-				start := time.Now()
-				// A fresh runner per repetition: nothing may be served
-				// from a previous run's memoization.
-				tb, err := e.Run(exp.NewRunner(newOpt(shards)))
-				if err != nil {
-					return fmt.Errorf("cpus=%d shards=%d: %w", n, shards, err)
-				}
-				repElapsed := time.Since(start)
-				if refTable == "" {
-					refTable = tb.String()
-				} else if tb.String() != refTable {
-					return fmt.Errorf("cpus=%d shards=%d: results diverged from the first grid point — determinism bug", n, shards)
-				}
-				if r == 0 || repElapsed < elapsed {
-					elapsed = repElapsed
-					st = sim.GlobalShardStats()
-				}
-			}
-			if base == 0 {
-				base = elapsed
-			}
-			line := fmt.Sprintf("BenchmarkFig18Scale/cpus=%d/shards=%d \t1\t%d ns/op\t%.3f speedup",
-				n, shards, elapsed.Nanoseconds(), float64(base)/float64(elapsed))
-			if shards > 0 {
-				sweeps := st.Sweeps + st.InlineSweeps
-				windowsPerSweep := 0.0
-				if sweeps > 0 {
-					windowsPerSweep = float64(st.HorizonCycles) / lookahead / float64(sweeps)
-				}
-				line += fmt.Sprintf("\t%d sweeps\t%.1f windows_per_sweep\t%d barrier_wait_ns\t%d parks",
-					sweeps, windowsPerSweep, st.BarrierWaitNs, st.Parks)
-			}
-			fmt.Fprintln(w, line)
-			if shards == 0 {
-				seqBase[n] = elapsed
-			} else if seq, ok := seqBase[n]; ok && elapsed > seq {
-				fmt.Fprintf(os.Stderr,
-					"fpbbench: WARNING: sharded engine SLOWER than sequential at cpus=%d: shards=%d took %v vs %v sequential (%.3fx)\n",
-					n, shards, elapsed, seq, float64(seq)/float64(elapsed))
-			}
-		}
-	}
-	return nil
-}
-
 // runWarm measures the shared-prefix warm-start speedup: the Figure 18
 // experiment — 5 scheme configs per workload, all sharing one warmup prefix —
 // run once cold (every simulation re-simulates its warmup) and once against a
 // fresh checkpoint store (the warmup simulates once per workload; the other
 // simulations restore it). Both runs must produce identical tables; any
 // divergence is a determinism bug and exits nonzero. Lines are
-// benchmark-formatted for ingest mode, like runScale's.
+// benchmark-formatted, so ingest mode parses them like any other benchmark.
 func runWarm(w io.Writer, cycles, instr uint64, workloads string) error {
 	e, ok := exp.ByID("fig18")
 	if !ok {

@@ -102,6 +102,9 @@ func printStatus(w io.Writer, st cluster.SweepStatus, verbose bool) {
 	if st.Failed > 0 {
 		fmt.Fprintf(w, ", %d failed", st.Failed)
 	}
+	if st.Cancelled > 0 {
+		fmt.Fprintf(w, ", %d cancelled", st.Cancelled)
+	}
 	if st.Replicated > 0 {
 		fmt.Fprintf(w, ", %d replicas", st.Replicated)
 	}

@@ -16,7 +16,7 @@
 // -warmup N prepends a shared warmup phase to every simulation (optionally
 // under -warmup-scheme), and -checkpoint-dir makes grid points sharing a
 // warmup prefix simulate it once and warm-start from the stored barrier
-// image — byte-identically (DESIGN.md §13).
+// image — byte-identically (DESIGN.md §12).
 //
 // Profiling and observability: -pprof serves net/http/pprof, -cpuprofile /
 // -memprofile write whole-run profiles, and -metricsdir dumps one metrics
@@ -52,7 +52,6 @@ func main() {
 		out       = flag.String("out", "", "also append results to this file")
 		bars      = flag.Bool("bars", false, "also render each result column as an ASCII bar chart")
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS); with -remote, in-flight requests")
-		shards    = flag.Int("shards", 0, "parallel engine shards per simulation (0 = sequential; results are bit-identical)")
 		remote    = flag.String("remote", "", "offload simulations to fpbd daemon(s) at these comma-separated addresses; several addresses form a failover fleet")
 
 		warmup       = flag.Uint64("warmup", 0, "run N warmup cycles before measurement in every simulation (0 = off)")
@@ -130,7 +129,7 @@ func main() {
 		}
 	}
 	opt := exp.Options{
-		InstrPerCore: *instr, MetricsDir: *metricsDir, Workers: *workers, Shards: *shards,
+		InstrPerCore: *instr, MetricsDir: *metricsDir, Workers: *workers,
 		WarmupCycles: *warmup, CheckpointDir: *ckptDir,
 	}
 	if *warmupScheme != "" {

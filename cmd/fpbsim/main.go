@@ -71,7 +71,6 @@ func main() {
 		wp       = flag.Bool("wp", false, "enable write pausing")
 		wt       = flag.Bool("wt", false, "enable write truncation")
 		seed     = flag.Uint64("seed", 0, "override RNG seed (0 = default)")
-		shards   = flag.Int("shards", 0, "parallel engine shard count (0 = sequential; results are bit-identical)")
 		traceDir = flag.String("tracedir", "", "replay per-core trace files <dir>/<workload>.coreN.trace instead of generating")
 		remote   = flag.String("remote", "", "offload the run to an fpbd daemon at this address (host:port)")
 
@@ -113,7 +112,6 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	cfg.Shards = *shards
 	if *warmupScheme != "" && *warmup == 0 {
 		fail("-warmup-scheme is only meaningful with -warmup N (N > 0 warmup cycles)")
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fpb/internal/obs"
 	"fpb/internal/serve"
 	"fpb/internal/sim"
 	"fpb/internal/system"
@@ -576,5 +578,79 @@ func TestSweepWarmStartSingleNode(t *testing.T) {
 	}
 	if m["serve.ckpt.entries"] != 1 {
 		t.Errorf("ckpt.entries = %v, want 1 (one shared prefix)", m["serve.ckpt.entries"])
+	}
+}
+
+// TestSweepCancelWhileGated cancels a sweep while one unit is stuck in the
+// simulation and the rest wait for the node's only dispatch slot. The sweep
+// must settle as cancelled with no failed unit and no jobs-failed count:
+// cancelled is not failed.
+func TestSweepCancelWhileGated(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 4)
+	co, err := NewCoordinator(CoordinatorConfig{
+		Self:            "http://self:1",
+		Replicas:        1,
+		PerNodeInflight: 1,
+		Local: func(spec serve.JobSpec) (serve.JobStatus, bool, error) {
+			entered <- struct{}{}
+			<-gate
+			cfg, wl, err := spec.Resolve()
+			if err != nil {
+				return serve.JobStatus{}, false, err
+			}
+			res := fakeResult(cfg, wl)
+			return serve.JobStatus{State: serve.StateDone, Result: &res}, false, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Shutdown()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Shutdown, which waits for the gated unit
+	reg := obs.NewRegistry()
+	co.Instrument(reg)
+
+	st, err := co.Submit(SweepSpec{Schemes: []string{"fpb", "ideal"}, Workloads: []string{"mcf_m", "xal_m"}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered // one unit holds the dispatch slot; three wait for it
+	co.Cancel(st.ID)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cur, _ := co.Status(st.ID)
+		if cur.Cancelled == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("waiting units never settled as cancelled: %+v", cur)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	final, err := co.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != SweepCancelled || final.Failed != 0 || final.Completed != 1 || final.Cancelled != 3 {
+		t.Fatalf("final status: state %s completed %d failed %d cancelled %d",
+			final.State, final.Completed, final.Failed, final.Cancelled)
+	}
+	for _, jo := range final.Jobs {
+		if jo.State != serve.StateDone && jo.State != UnitCancelled {
+			t.Errorf("unit %s/%s settled as %s", jo.Scheme, jo.Workload, jo.State)
+		}
+	}
+	for name, want := range map[string]float64{
+		"cluster.jobs.failed": 0, "cluster.jobs.cancelled": 3, "cluster.jobs.done": 1,
+		"cluster.sweeps.cancelled": 1, "cluster.sweeps.failed": 0,
+	} {
+		if got, _ := reg.Value(name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }

@@ -90,6 +90,7 @@ type sweepRun struct {
 	state      SweepState
 	completed  int
 	failed     int
+	cancelled  int
 	replicated int
 	perNode    map[string]int
 	outcomes   []JobOutcome
@@ -105,6 +106,7 @@ func (sr *sweepRun) status() SweepStatus {
 		Total:      len(sr.units),
 		Completed:  sr.completed,
 		Failed:     sr.failed,
+		Cancelled:  sr.cancelled,
 		Replicated: sr.replicated,
 		PerNode:    make(map[string]int, len(sr.perNode)),
 		Jobs:       make([]JobOutcome, len(sr.outcomes)),
@@ -153,11 +155,11 @@ type Coordinator struct {
 	wg       sync.WaitGroup
 
 	// Telemetry (nil-safe until Instrument).
-	cSweeps, cSweepsDone, cSweepsFailed, cSweepsCancelled *obs.Counter
-	cJobsDispatched, cJobsDone, cJobsFailed, cJobsRetried *obs.Counter
-	cFailovers, cReplicasPushed, cReplicaErrors           *obs.Counter
-	hJobMs, hSweepMs                                      *obs.Histogram
-	perNodeDone                                           map[string]*obs.Counter
+	cSweeps, cSweepsDone, cSweepsFailed, cSweepsCancelled     *obs.Counter
+	cJobsDispatched, cJobsDone, cJobsFailed, cJobsCancelled   *obs.Counter
+	cJobsRetried, cFailovers, cReplicasPushed, cReplicaErrors *obs.Counter
+	hJobMs, hSweepMs                                          *obs.Histogram
+	perNodeDone                                               map[string]*obs.Counter
 }
 
 // NewCoordinator builds a coordinator. Members are normalized; Self must be
@@ -234,6 +236,7 @@ func (co *Coordinator) Instrument(reg *obs.Registry) {
 	co.cJobsDispatched = reg.Counter("cluster.jobs.dispatched")
 	co.cJobsDone = reg.Counter("cluster.jobs.done")
 	co.cJobsFailed = reg.Counter("cluster.jobs.failed")
+	co.cJobsCancelled = reg.Counter("cluster.jobs.cancelled")
 	co.cJobsRetried = reg.Counter("cluster.jobs.retried")
 	co.cFailovers = reg.Counter("cluster.jobs.failovers")
 	co.cReplicasPushed = reg.Counter("cluster.replicas.pushed")
@@ -263,6 +266,7 @@ func (co *Coordinator) Instrument(reg *obs.Registry) {
 		"cluster.jobs.dispatched":   "sweep unit dispatch attempts",
 		"cluster.jobs.done":         "sweep units completed",
 		"cluster.jobs.failed":       "sweep units failed terminally",
+		"cluster.jobs.cancelled":    "sweep units stopped by their sweep's cancellation",
 		"cluster.jobs.retried":      "unit dispatches retried after 429 pushback",
 		"cluster.jobs.failovers":    "unit dispatches moved to a successor replica",
 		"cluster.replicas.pushed":   "results replicated to ring successors",
@@ -453,7 +457,7 @@ func (co *Coordinator) runSweep(ctx context.Context, sr *sweepRun) {
 	sr.mu.Lock()
 	sr.elapsed = time.Since(sr.start)
 	switch {
-	case ctx.Err() != nil && sr.completed+sr.failed < len(sr.units):
+	case sr.cancelled > 0:
 		sr.state = SweepCancelled
 	case sr.failed > 0:
 		sr.state = SweepFailed
@@ -461,7 +465,7 @@ func (co *Coordinator) runSweep(ctx context.Context, sr *sweepRun) {
 		sr.state = SweepDone
 	}
 	state := sr.state
-	completed, failed, elapsed := sr.completed, sr.failed, sr.elapsed
+	completed, failed, cancelled, elapsed := sr.completed, sr.failed, sr.cancelled, sr.elapsed
 	sr.mu.Unlock()
 	close(sr.done)
 
@@ -478,7 +482,7 @@ func (co *Coordinator) runSweep(ctx context.Context, sr *sweepRun) {
 		co.cSweepsCancelled.Inc()
 	}
 	co.log.Info("sweep finished", "sweep", sr.id, "state", string(state),
-		"completed", completed, "failed", failed,
+		"completed", completed, "failed", failed, "cancelled", cancelled,
 		"elapsed_ms", float64(elapsed.Nanoseconds())/1e6)
 }
 
@@ -614,16 +618,22 @@ func (co *Coordinator) acquire(ctx context.Context, member string) error {
 
 func (co *Coordinator) release(member string) { <-co.sems[member] }
 
-// recordUnit settles one unit's outcome in the sweep record.
+// recordUnit settles one unit's outcome in the sweep record. An error from
+// the sweep's own cancellation settles the unit as cancelled, not failed.
 func (co *Coordinator) recordUnit(sr *sweepRun, u Unit, member string, st serve.JobStatus, attempts int, err error) {
 	sr.mu.Lock()
 	o := &sr.outcomes[u.Index]
 	o.Attempts = attempts
-	if err != nil {
+	switch {
+	case errors.Is(err, context.Canceled):
+		o.State = UnitCancelled
+		o.Error = err.Error()
+		sr.cancelled++
+	case err != nil:
 		o.State = serve.StateFailed
 		o.Error = err.Error()
 		sr.failed++
-	} else if st.State == serve.StateDone {
+	case st.State == serve.StateDone:
 		o.State = serve.StateDone
 		o.Node = member
 		o.Cached = st.Cached
@@ -632,16 +642,19 @@ func (co *Coordinator) recordUnit(sr *sweepRun, u Unit, member string, st serve.
 		}
 		sr.completed++
 		sr.perNode[member]++
-	} else {
+	default:
 		o.State = serve.StateFailed
 		o.Error = fmt.Sprintf("unexpected job state %s: %s", st.State, st.Error)
 		sr.failed++
 	}
-	failed := o.State == serve.StateFailed
+	state := o.State
 	sr.mu.Unlock()
-	if failed {
+	switch state {
+	case UnitCancelled:
+		co.cJobsCancelled.Inc()
+	case serve.StateFailed:
 		co.cJobsFailed.Inc()
-	} else {
+	default:
 		co.cJobsDone.Inc()
 		co.perNodeDone[member].Inc()
 	}

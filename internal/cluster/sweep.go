@@ -138,6 +138,10 @@ const (
 	SweepCancelled SweepState = "cancelled"
 )
 
+// UnitCancelled is the JobOutcome state of a unit the sweep's cancellation
+// stopped before it settled: neither done nor failed.
+const UnitCancelled serve.JobState = "cancelled"
+
 // JobOutcome is the per-unit record in a sweep status.
 type JobOutcome struct {
 	Key      string `json:"key"`
@@ -164,11 +168,13 @@ type SweepStatus struct {
 	ID    string     `json:"id"`
 	State SweepState `json:"state"`
 	Total int        `json:"total"`
-	// Completed counts units that finished successfully; Failed counts
-	// terminal unit failures. Completed+Failed == Total when the sweep
-	// leaves SweepRunning (unless cancelled).
+	// Completed counts units that finished successfully, Failed terminal
+	// unit failures, and Cancelled units the sweep's cancellation stopped.
+	// Completed+Failed+Cancelled == Total once the sweep leaves
+	// SweepRunning.
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
+	Cancelled int `json:"cancelled"`
 	// PerNode counts completed units by executing node — the live view of
 	// how the ring spread the sweep.
 	PerNode map[string]int `json:"per_node,omitempty"`

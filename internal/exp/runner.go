@@ -54,16 +54,12 @@ type Options struct {
 	Workers int
 	// Backend overrides how simulations run; nil means in-process.
 	Backend Backend
-	// Shards selects the parallel simulation engine for every in-process
-	// run (sim.Config.Shards). Results are bit-identical to sequential
-	// execution, so it only changes wall-clock time, never a figure.
-	Shards int
 	// WarmupCycles/WarmupScheme declare a warmup phase on BaseConfig
 	// (sim.Config.WarmupCycles/WarmupScheme): every simulation runs that
-	// many cycles under the warmup scheme before measurement begins. Like
-	// Shards they are applied to the base config, so every figure variant
-	// shares the declaration — which is what makes their warmup prefixes
-	// shared. Zero disables warmup.
+	// many cycles under the warmup scheme before measurement begins. They
+	// are applied to the base config, so every figure variant shares the
+	// declaration — which is what makes their warmup prefixes shared.
+	// Zero disables warmup.
 	WarmupCycles uint64
 	WarmupScheme sim.Scheme
 	// CheckpointDir, when non-empty, warm-starts in-process simulations:
@@ -177,7 +173,6 @@ func (r *Runner) Opt() Options { return r.opt }
 func (r *Runner) BaseConfig() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.InstrPerCore = r.opt.InstrPerCore
-	cfg.Shards = r.opt.Shards
 	cfg.WarmupCycles = r.opt.WarmupCycles
 	cfg.WarmupScheme = r.opt.WarmupScheme
 	return cfg

@@ -36,9 +36,6 @@ func (c *Controller) Rebind() {
 	cfg := c.cfg
 	c.mapFn = mapping.New(cfg.CellMapping, cfg.CellsPerLine(), cfg.Chips)
 	c.mapTab = mapping.NewTable(c.mapFn, cfg.CellsPerLine(), cfg.Chips)
-	for i := range c.laneTables {
-		c.laneTables[i] = mapping.NewTable(c.mapFn, cfg.CellsPerLine(), cfg.Chips)
-	}
 	c.rot.ShiftEvery = rotShiftEvery(cfg)
 	c.sched.Manager().Reconfigure()
 }
@@ -118,10 +115,5 @@ func (c *Controller) RestoreState(r *ckpt.Reader) error {
 	c.maxLineWr = maxWr
 	c.chanBus.freeAt = chanFree
 	c.dimmBus.freeAt = dimmFree
-	// Lane readers cache page lookups into the pre-restore (empty) store
-	// pages; reset them against the restored content.
-	for i := range c.laneReaders {
-		c.laneReaders[i] = c.store.Reader()
-	}
 	return nil
 }

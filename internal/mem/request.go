@@ -24,8 +24,7 @@ type WriteRequest struct {
 	// request (telemetry; the paper's WC re-executes writes in full).
 	cancelled int
 
-	// prof caches the request's write profile across issue attempts (and
-	// receives speculatively built profiles under the parallel engine). A
+	// prof caches the request's write profile across issue attempts. A
 	// profile is a pure function of (line address, stored content, new
 	// data, rotation offset), so it is validated by the stored-content
 	// version and offset it was built against: while both are unchanged a
@@ -34,18 +33,4 @@ type WriteRequest struct {
 	prof    *pcm.WriteProfile
 	profVer uint64 // lineWrites[Addr] the profile was built against
 	profRot int    // rotation offset the profile was built against
-	// profSpec marks prof as speculatively built (published by a lane
-	// commit); profileFor clears it on first use so the speculation
-	// hit-rate counters see each profile once.
-	profSpec bool
-	// inflight marks the request as issued to a bank: a speculative
-	// profile arriving now would be useless (the op owns its profile) and
-	// is dropped instead of published.
-	inflight bool
-	// specEv is the pending speculative-build lane event, if any. The
-	// handle is valid only while the event is pending: the commit clears
-	// it before doing anything else, and startWrite cancels it (a profile
-	// landing after issue would be dropped anyway, so the prepare work is
-	// saved too).
-	specEv *sim.Event
 }

@@ -25,10 +25,10 @@
 //
 // Scopes: a series registered through the Exec variants (ExecCounter,
 // ExecGauge) is execution-side telemetry — it describes how the simulation
-// ran (shard windows, barrier waits, speculation hit rates), not what the
+// ran on the host (wall-clock phase timings, for instance), not what the
 // simulated machine did. Exec series appear in snapshots, probes and the
 // Prometheus exposition, but are excluded from Values()/WriteJSON so
-// system.Result stays bit-identical whichever engine executed the run.
+// system.Result stays bit-identical however the run was executed.
 package obs
 
 import (

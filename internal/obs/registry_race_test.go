@@ -86,8 +86,7 @@ func TestNilCounterSafe(t *testing.T) {
 
 // TestExecScopeExcludedFromValues: exec-scope series appear in Names,
 // Snapshot and the Prometheus exposition, but never in Values()/WriteJSON —
-// that is what keeps Result.Metrics identical whichever engine executed a
-// run.
+// that is what keeps Result.Metrics identical however a run was executed.
 func TestExecScopeExcludedFromValues(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("model.count").Inc()

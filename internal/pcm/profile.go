@@ -61,15 +61,7 @@ type WriteProfile struct {
 	// pooled marks a profile that has been returned to its Builder's pool
 	// and must not be used until newProfile hands it out again.
 	pooled bool
-	// owner is the Builder whose pool the profile belongs to. With the
-	// parallel engine, profiles built speculatively on per-lane Builders
-	// flow to the controller's serial release points; owner routes each
-	// back to the pool it came from.
-	owner *Builder
 }
-
-// Owner returns the Builder that built the profile (its release target).
-func (p *WriteProfile) Owner() *Builder { return p.owner }
 
 // Builder constructs WriteProfiles. It owns the iteration model RNG stream
 // and scratch buffers, so one Builder must not be shared across goroutines.
@@ -117,7 +109,7 @@ func (b *Builder) newProfile() *WriteProfile {
 		p.pooled = false
 		return p
 	}
-	return &WriteProfile{owner: b}
+	return &WriteProfile{}
 }
 
 // resizeInts returns s resized to n elements, zeroed, reusing its backing

@@ -82,49 +82,6 @@ func (s *Store) Get(lineAddr uint64) []byte {
 	return line
 }
 
-// Reader is a read-only view of a Store with its own page-lookup cache, for
-// use by the parallel engine's prepare workers: Store.Get mutates the shared
-// single-entry cache (and the fpbdebug guard's fingerprint map), so
-// concurrent readers each need a private Reader. Readers are only coherent
-// with writes that happened before the reader's goroutine started its phase
-// (the engine's sweep barrier provides exactly that ordering); the Store
-// must not be written while any Reader is in use.
-type Reader struct {
-	s        *Store
-	lastIdx  uint64
-	lastPage *storePage
-}
-
-// Reader returns a new private read view of the store.
-func (s *Store) Reader() *Reader {
-	return &Reader{s: s, lastIdx: ^uint64(0)}
-}
-
-// Get is Store.Get through the private cache: the current content of the
-// line, or nil if never written. The fpbdebug aliasing guard is bypassed —
-// it mutates shared state on every Get — so views obtained here must be
-// treated as strictly read-only.
-func (r *Reader) Get(lineAddr uint64) []byte {
-	s := r.s
-	lineNo := lineAddr / uint64(s.lineBytes)
-	pageIdx := lineNo / pageLines
-	p := r.lastPage
-	if pageIdx != r.lastIdx {
-		p = s.pages[pageIdx]
-		if p != nil {
-			r.lastIdx, r.lastPage = pageIdx, p
-		}
-	}
-	if p == nil {
-		return nil
-	}
-	slot := lineNo % pageLines
-	if p.written[slot/64]&(1<<(slot%64)) == 0 {
-		return nil
-	}
-	return p.data[int(slot)*s.lineBytes : (int(slot)+1)*s.lineBytes : (int(slot)+1)*s.lineBytes]
-}
-
 // Put copies data into the line at lineAddr. The store never takes
 // ownership of data; the line's storage is reused in place.
 func (s *Store) Put(lineAddr uint64, data []byte) {

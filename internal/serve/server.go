@@ -340,7 +340,8 @@ func (s *Server) worker() {
 		delete(s.inflight, j.key)
 		s.latency.Add(int(time.Since(start).Milliseconds()))
 		s.mu.Unlock()
-		close(j.done)
+		// Log before waking waiters, so a client holding the response
+		// can rely on the job's final log line having been written.
 		if err != nil {
 			s.log.Warn("job failed", "job", j.id, "key", j.key,
 				"sim_ms", durMs(simDur), "err", err)
@@ -349,6 +350,7 @@ func (s *Server) worker() {
 				"queue_wait_ms", durMs(queueWait), "sim_ms", durMs(simDur),
 				"store_write_ms", durMs(storeDur))
 		}
+		close(j.done)
 	}
 }
 

@@ -324,7 +324,19 @@ func TestDrainCompletesInFlightJobs(t *testing.T) {
 		}(uint64(100 + i))
 	}
 	<-started
-	<-started // both workers busy; third job is queued
+	<-started // both workers busy
+	// The third POST races the two above: wait until it sits in the
+	// queue, or Drain could beat it and it would be refused with 503.
+	queued := time.Now().Add(10 * time.Second)
+	for {
+		if d, _ := s.Registry().Value("serve.queue.depth"); d == 1 {
+			break
+		}
+		if time.Now().After(queued) {
+			t.Fatal("third job never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	drained := make(chan struct{})
 	go func() {

@@ -32,22 +32,17 @@ const MaxCycle = Cycle(math.MaxUint64)
 // instead embed an Event and use Arm/ArmAt — caller-owned events are never
 // pooled, so their handles stay valid indefinitely.
 type Event struct {
-	when    Cycle
-	seq     uint64 // tie-breaker: FIFO among events at the same cycle
-	fn      func()
-	prepare func() // lane events only: speculative phase (see Speculate)
-	next    *Event // bucket FIFO / free-list link
-	index   int    // heap index; idxBucket in a bucket, idxIdle when not queued
-	lane    int32  // owning lane for sharded execution; -1 on the global queue
-	cancel  bool
-	owned   bool // caller-owned via Arm: never returned to the pool
+	when   Cycle
+	seq    uint64 // tie-breaker: FIFO among events at the same cycle
+	fn     func()
+	next   *Event // bucket FIFO / free-list link
+	index  int    // heap index; idxBucket in a bucket, idxIdle when not queued
+	cancel bool
+	owned  bool // caller-owned via Arm: never returned to the pool
 }
 
 // When reports the cycle the event is scheduled for.
 func (e *Event) When() Cycle { return e.when }
-
-// Lane reports the event's lane, or -1 for global-queue events.
-func (e *Event) Lane() int { return int(e.lane) }
 
 // Scheduled reports whether the event is still pending.
 func (e *Event) Scheduled() bool { return e != nil && e.index != idxIdle && !e.cancel }
@@ -90,7 +85,6 @@ type Engine struct {
 	free  *Event // recycled Events, linked through next
 	ran   uint64
 	hook  DispatchHook
-	sh    *sharding // non-nil once EnableSharding ran; see sharded.go
 }
 
 // DispatchHook observes every event dispatch: now is the cycle the clock
@@ -111,21 +105,14 @@ func (e *Engine) Now() Cycle { return e.now }
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
 // Pending reports how many events are waiting in the queue (including
-// cancelled events that have not yet been collected, and pending lane
-// events when sharding is enabled).
-func (e *Engine) Pending() int {
-	n := e.queue.len()
-	if e.sh != nil {
-		n += e.sh.pending
-	}
-	return n
-}
+// cancelled events that have not yet been collected).
+func (e *Engine) Pending() int { return e.queue.len() }
 
 // alloc pops the free list or allocates a fresh Event.
 func (e *Engine) alloc() *Event {
 	ev := e.free
 	if ev == nil {
-		return &Event{index: idxIdle, lane: -1}
+		return &Event{index: idxIdle}
 	}
 	e.free = ev.next
 	ev.next = nil
@@ -137,8 +124,6 @@ func (e *Engine) alloc() *Event {
 func (e *Engine) recycle(ev *Event) {
 	ev.index = idxIdle
 	ev.fn = nil
-	ev.prepare = nil
-	ev.lane = -1
 	ev.cancel = false
 	if ev.owned {
 		ev.next = nil
@@ -155,9 +140,6 @@ func (e *Engine) recycle(ev *Event) {
 func (e *Engine) At(when Cycle, fn func()) *Event {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now %d", when, e.now))
-	}
-	if e.sh != nil && e.sh.preparing.Load() {
-		panic("sim: At called from a prepare callback")
 	}
 	ev := e.alloc()
 	ev.when, ev.seq, ev.fn = when, e.seq, fn
@@ -180,16 +162,12 @@ func (e *Engine) ArmAt(ev *Event, when Cycle, fn func()) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now %d", when, e.now))
 	}
-	if e.sh != nil && e.sh.preparing.Load() {
-		panic("sim: ArmAt called from a prepare callback")
-	}
 	if ev.index != idxIdle {
 		panic("sim: ArmAt on an event that is still pending")
 	}
 	ev.when, ev.seq, ev.fn = when, e.seq, fn
 	ev.cancel = false
 	ev.owned = true
-	ev.lane = -1
 	e.seq++
 	e.queue.push(ev)
 }

@@ -160,18 +160,6 @@ func (q *eventQueue) pop(from Cycle, collect func(*Event)) *Event {
 	}
 }
 
-// popHead removes ev, which must be the event the immediately preceding
-// peek returned with no queue mutation in between: the head of its calendar
-// bucket, or the overflow-heap minimum. It lets a caller that already paid
-// peek's bucket scan dispatch without paying it again in pop.
-func (q *eventQueue) popHead(ev *Event) {
-	if ev.index == idxBucket {
-		q.popBucket(int(ev.when - q.base))
-		return
-	}
-	heap.Pop(&q.far)
-}
-
 // peek returns the earliest live event without removing it (cancelled
 // events encountered on the way are collected), or nil. It never moves the
 // window, so it is safe to schedule into the present afterwards.

@@ -78,56 +78,26 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointDeterminismMatrix checks the restore guarantee holds for
-// every execution engine: one image, restored and run under shard counts
-// {0, 2, 8} and GOMAXPROCS {1, all}, must match the sequential cold run
-// exactly. Shards and GOMAXPROCS are wall-clock knobs, never model inputs.
+// TestCheckpointDeterminismMatrix checks the restore guarantee holds at
+// every GOMAXPROCS: one image, restored and run under GOMAXPROCS {1, all},
+// must match the cold run exactly. GOMAXPROCS is a wall-clock knob, never a
+// model input.
 func TestCheckpointDeterminismMatrix(t *testing.T) {
 	cfg := warmTestCfg(sim.SchemeGCPIPM)
 	cold, img := captureImage(t, cfg, "mix_1")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, shards := range []int{0, 2, 8} {
-		for _, procs := range []int{1, runtime.NumCPU()} {
-			runtime.GOMAXPROCS(procs)
-			rcfg := warmTestCfg(sim.SchemeGCPIPM)
-			rcfg.Shards = shards
-			sys, err := RestoreSystem(rcfg, "mix_1", img)
-			if err != nil {
-				t.Fatalf("shards=%d: restore: %v", shards, err)
-			}
-			res := sys.Run()
-			res.Workload = "mix_1"
-			sys.Release()
-			// Shards is an execution knob: results must match the
-			// sequential run even though rcfg differs in that field.
-			res2 := res
-			if !reflect.DeepEqual(cold, res2) {
-				t.Errorf("shards=%d procs=%d: restored run diverged from sequential cold run",
-					shards, procs)
-			}
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		sys, err := RestoreSystem(cfg, "mix_1", img)
+		if err != nil {
+			t.Fatalf("procs=%d: restore: %v", procs, err)
 		}
-	}
-}
-
-// TestCheckpointColdPathShardInvariant checks the *producing* side of the
-// matrix: a cold warmup run under the parallel engine equals the sequential
-// one (the barrier drain and quiesce sequence must not depend on execution).
-func TestCheckpointColdPathShardInvariant(t *testing.T) {
-	mk := func(shards int) sim.Config {
-		cfg := warmTestCfg(sim.SchemeGCPIPMMR)
-		cfg.Shards = shards
-		return cfg
-	}
-	seq, err := RunWorkload(mk(0), "mcf_m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunWorkload(mk(4), "mcf_m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("cold warmup run diverged between sequential and 4-shard engines:\n  seq: %+v\n  par: %+v", seq, par)
+		res := sys.Run()
+		res.Workload = "mix_1"
+		sys.Release()
+		if !reflect.DeepEqual(cold, res) {
+			t.Errorf("procs=%d: restored run diverged from cold run", procs)
+		}
 	}
 }
 
@@ -174,7 +144,6 @@ func TestCheckpointKeySharing(t *testing.T) {
 		func(c *sim.Config) { c.HalfStripe = true },
 		func(c *sim.Config) { c.WriteQueueSched = 4 },
 		func(c *sim.Config) { c.InstrPerCore = 123456 },
-		func(c *sim.Config) { c.Shards = 8 },
 	}
 	for i, mut := range same {
 		cfg := warmTestCfg(sim.SchemeDIMMChip)

@@ -11,88 +11,44 @@ import (
 )
 
 // TestInstrumentationDoesNotChangeResults is the observability determinism
-// guard: running the Fig. 18 configuration with tracing attached and the
-// parallel engine's shard/lane telemetry registered must produce a Result —
-// every scalar and every Metrics entry — bit-identical to a bare sequential
-// run. Shard and lane series are exec-scope precisely so this holds; a
-// regression here means execution telemetry leaked into model output.
+// guard: running the Fig. 18 configuration with a full-firehose tracer
+// attached must produce a Result — every scalar and every Metrics entry —
+// bit-identical to a bare run. A regression here means instrumentation
+// leaked into model output.
 //
 // Probes are deliberately NOT enabled: a probe is a simulation event and
 // legitimately changes sim.events_run. Tracing and metrics registration
 // must be free.
 func TestInstrumentationDoesNotChangeResults(t *testing.T) {
-	mk := func() sim.Config {
-		cfg := sim.DefaultConfig()
-		cfg.Scheme = sim.SchemeGCPIPMMR
-		cfg.InstrPerCore = 20_000
-		return cfg
-	}
+	cfg := sim.DefaultConfig()
+	cfg.Scheme = sim.SchemeGCPIPMMR
+	cfg.InstrPerCore = 20_000
 	const wlName = "mcf_m"
 
-	base, err := RunWorkload(mk(), wlName)
+	base, err := RunWorkload(cfg, wlName)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, shards := range []int{1, 4} {
-		cfg := mk()
-		cfg.Shards = shards
-		wl, err := workload.ByName(wlName, cfg.Cores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := Build(cfg, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Full-firehose tracer (every category except "engine") into a
-		// discarded JSONL stream: emission must be observationally free.
-		tr := obs.NewTracer(obs.NewJSONL(io.Discard))
-		sys.EnableTrace(tr)
-
-		// The shard/lane exec series must be registered...
-		names := sys.Obs.Registry().Names()
-		found := map[string]bool{}
-		for _, n := range names {
-			found[n] = true
-		}
-		for _, want := range []string{
-			"sim.shard.sweeps", "sim.shard.inline_sweeps", "sim.shard.prepared",
-			"sim.shard.lane_commits", "sim.shard.barrier_wait_ns",
-			"sim.shard.horizon_cycles", "sim.shard.parks", "sim.shard.wakes",
-			"sim.lane.0.pending", "sim.lane.0.committed",
-			"mem.spec.published", "mem.spec.hits",
-		} {
-			if !found[want] {
-				t.Errorf("shards=%d: exec series %q not registered", shards, want)
-			}
-		}
-
-		res := sys.Run()
-		res.Workload = wlName
-		if err := tr.Close(); err != nil {
-			t.Fatalf("shards=%d: tracer: %v", shards, err)
-		}
-
-		// ...but absent from the result, which must match the bare run.
-		for name := range res.Metrics {
-			if found[name] && isExecSeries(name) {
-				t.Errorf("shards=%d: exec series %q leaked into Result.Metrics", shards, name)
-			}
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("shards=%d: instrumented run diverged from bare sequential run:\n  base: %+v\n  got:  %+v",
-				shards, base, res)
-		}
-		sys.Release()
+	wl, err := workload.ByName(wlName, cfg.Cores)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func isExecSeries(name string) bool {
-	for _, prefix := range []string{"sim.shard.", "sim.lane.", "mem.spec."} {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			return true
-		}
+	sys, err := Build(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return false
+	defer sys.Release()
+	// Every category except "engine", into a discarded JSONL stream:
+	// emission must be observationally free.
+	tr := obs.NewTracer(obs.NewJSONL(io.Discard))
+	sys.EnableTrace(tr)
+	res := sys.Run()
+	res.Workload = wlName
+	if err := tr.Close(); err != nil {
+		t.Fatalf("tracer: %v", err)
+	}
+	if !reflect.DeepEqual(base, res) {
+		t.Errorf("instrumented run diverged from bare run:\n  base: %+v\n  got:  %+v", base, res)
+	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // keyFormatVersion is bumped whenever the meaning of an existing config
-// field changes (new fields change the canonical encoding by themselves).
-// It invalidates every previously stored result key.
+// field changes (added or removed fields change the canonical encoding by
+// themselves). It invalidates every previously stored result key.
 const keyFormatVersion = 1
 
 // canonicalJob is the serialized identity of one simulation. sim.Config is
@@ -26,14 +26,6 @@ type canonicalJob struct {
 // simulation: the byte string two jobs share exactly when they are the same
 // simulation. It is the preimage of Key.
 func Canonical(cfg sim.Config, workload string) []byte {
-	// Shards — and the ShardHorizon/ShardStaticLookahead batching knobs —
-	// select the execution engine, not the simulated machine: results are
-	// bit-identical for every value (enforced by the determinism matrix
-	// test), so they are zeroed here to keep result caches from
-	// fragmenting by how a simulation happened to be executed.
-	cfg.Shards = 0
-	cfg.ShardHorizon = 0
-	cfg.ShardStaticLookahead = false
 	b, err := json.Marshal(canonicalJob{Version: keyFormatVersion, Workload: workload, Config: cfg})
 	if err != nil {
 		// sim.Config holds only scalars; Marshal cannot fail.
@@ -57,7 +49,7 @@ func Key(cfg sim.Config, workload string) string {
 // the key hashes the *warmup* config (measurement-only policy fields pinned
 // by Config.WarmupConfig), with InstrPerCore zeroed on top, since the
 // instruction budget only governs how far the measurement phase runs past
-// the barrier. Shards is zeroed by Canonical as usual.
+// the barrier.
 func CheckpointKey(cfg sim.Config, workload string) string {
 	w := cfg.WarmupConfig()
 	w.InstrPerCore = 0

@@ -41,3 +41,22 @@ func TestCanonicalRoundTripsConfig(t *testing.T) {
 		t.Fatal("canonical serialization is not byte-deterministic")
 	}
 }
+
+// TestKeyFormatPinned freezes the content-key format. Result stores and
+// checkpoint stores are addressed by these keys, so any drift — a config
+// field added, removed or renamed, or a change to the canonical encoding —
+// must be deliberate: update the constants here and say in the change log
+// that every stored entry becomes a miss (or bump keyFormatVersion when an
+// existing field changes meaning).
+func TestKeyFormatPinned(t *testing.T) {
+	if got, want := Key(sim.DefaultConfig(), "mcf_m"),
+		"b6488e52ba86484d457a31fc545c69a75c3fd9a3eba77b3a7a797cd419696724"; got != want {
+		t.Errorf("Key(DefaultConfig, mcf_m) = %s, want %s", got, want)
+	}
+	w := sim.DefaultConfig()
+	w.WarmupCycles = 4_000_000
+	if got, want := CheckpointKey(w, "mcf_m"),
+		"45cd1caff014bb5fffe741c348fd641bb023b392d982576cc6b64b3752e3cb19"; got != want {
+		t.Errorf("CheckpointKey(warmup 4M, mcf_m) = %s, want %s", got, want)
+	}
+}

@@ -140,14 +140,6 @@ func build(cfg sim.Config, wl workload.Workload, restored bool) (*System, error)
 		buildCfg = cfg.WarmupConfig()
 	}
 	eng := sim.NewEngine()
-	if buildCfg.Shards > 0 {
-		// Parallel engine: one lane per (bank, chip) pair, conservative
-		// windows as wide as the minimum cross-lane interaction latency.
-		// Enabled before the controller is built so it allocates its
-		// per-lane speculation state. Results are bit-identical to the
-		// sequential engine for any shard count (see sim/sharded.go).
-		eng.EnableSharding(buildCfg.Lanes(), buildCfg.Shards, buildCfg.LookaheadCycles())
-	}
 	// Every component takes &s.Cfg — one shared config — so the barrier
 	// sequence can swap warmup for measurement values in place and have the
 	// whole machine observe the change.
@@ -268,7 +260,11 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 		delete(c.m, oldest)
 	}
 	c.stamp++
-	snap := &prefillSnapshot{hier: h.Clone(cfg), used: c.stamp}
+	// The snapshot outlives this System, so it is bound to its own copy of
+	// the config: cfg points into the System, and keeping that pointer
+	// would pin the whole machine for the life of the process.
+	snapCfg := *cfg
+	snap := &prefillSnapshot{hier: h.Clone(&snapCfg), used: c.stamp}
 	c.m[k] = snap
 	c.Unlock()
 	// The snapshot's copy doubles as the checkpoint delta baseline: map
@@ -333,31 +329,10 @@ func prefill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProf
 }
 
 // registerSystemMetrics adds machine-level series to the hub registry.
-// Shard and lane series describe how the parallel engine executed — window
-// counts, barrier stalls, lane occupancy — not what the simulation
-// computed, so they are exec-scope: visible to probes, traces and the
-// Prometheus exposition, but excluded from Result.Metrics, which must stay
-// bit-identical across shard counts.
 func (s *System) registerSystemMetrics() {
 	s.Obs.Gauge("sim.cycle", func() float64 { return float64(s.Eng.Now()) })
 	s.Obs.Gauge("sim.events_run", func() float64 { return float64(s.Eng.EventsRun()) })
 	s.Obs.Gauge("sys.cores.finished", func() float64 { return float64(s.finished) })
-	if !s.Eng.Sharded() {
-		return
-	}
-	s.Obs.ExecGauge("sim.shard.sweeps", func() float64 { return float64(s.Eng.ShardStats().Sweeps) })
-	s.Obs.ExecGauge("sim.shard.inline_sweeps", func() float64 { return float64(s.Eng.ShardStats().InlineSweeps) })
-	s.Obs.ExecGauge("sim.shard.prepared", func() float64 { return float64(s.Eng.ShardStats().Prepared) })
-	s.Obs.ExecGauge("sim.shard.lane_commits", func() float64 { return float64(s.Eng.ShardStats().LaneCommits) })
-	s.Obs.ExecGauge("sim.shard.barrier_wait_ns", func() float64 { return float64(s.Eng.ShardStats().BarrierWaitNs) })
-	s.Obs.ExecGauge("sim.shard.horizon_cycles", func() float64 { return float64(s.Eng.ShardStats().HorizonCycles) })
-	s.Obs.ExecGauge("sim.shard.parks", func() float64 { return float64(s.Eng.ShardStats().Parks) })
-	s.Obs.ExecGauge("sim.shard.wakes", func() float64 { return float64(s.Eng.ShardStats().Wakes) })
-	for l := 0; l < s.Eng.Lanes(); l++ {
-		l := l
-		s.Obs.ExecGauge(fmt.Sprintf("sim.lane.%d.pending", l), func() float64 { return float64(s.Eng.LanePending(l)) })
-		s.Obs.ExecGauge(fmt.Sprintf("sim.lane.%d.committed", l), func() float64 { return float64(s.Eng.LaneCommitted(l)) })
-	}
 }
 
 // EnableTrace attaches a tracer to the machine's hub. If the tracer admits
@@ -422,15 +397,6 @@ func (s *System) Run() Result {
 			s.resumeMeasurement()
 		}
 	}
-	if s.Eng.Sharded() {
-		// Same semantics as the sequential loop below: the stop predicate
-		// is evaluated between consecutive events.
-		if !s.Eng.RunSharded(func() bool { return s.finished >= len(s.Cores) }) {
-			s.MC.DumpState()
-			panic(fmt.Sprintf("system: deadlock — %d/%d cores finished, no events pending",
-				s.finished, len(s.Cores)))
-		}
-	}
 	for s.finished < len(s.Cores) {
 		if !s.Eng.Step() {
 			s.MC.DumpState()
@@ -454,13 +420,7 @@ func (s *System) Run() Result {
 // deterministic function of (warmup config, workload), which is precisely
 // what the checkpoint key hashes.
 func (s *System) runWarmup() {
-	if s.Eng.Sharded() {
-		// Warmup success IS the drained queue, so the stop predicate never
-		// fires; RunSharded returning false here is the expected exit.
-		s.Eng.RunSharded(func() bool { return false })
-	} else {
-		for s.Eng.Step() {
-		}
+	for s.Eng.Step() {
 	}
 	parked := 0
 	for _, c := range s.Cores {

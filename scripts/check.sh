@@ -12,10 +12,9 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
-# The parallel engine's worker pool sizes itself from GOMAXPROCS; re-run
-# its packages under the race detector with real parallelism so sweep
-# synchronization is exercised even on single-core CI runners.
-GOMAXPROCS=2 go test -race ./internal/sim/ ./internal/system/
+# Stress lane for the concurrent service code: the worker pool, drain,
+# cancel and failover tests must pass every time, not most of the time.
+GOMAXPROCS=2 go test -count=20 ./internal/serve/ ./internal/cluster/
 # fpbdebug swaps in the Store.Get aliasing guard; run the packages that
 # exercise it so the debug build stays green.
 go test -tags fpbdebug ./internal/pcm/ ./internal/mem/
@@ -32,15 +31,6 @@ if [ "${CKPT:-1}" = 1 ]; then
     cmp "$CKDIR/cold.json" "$CKDIR/warm.json"
     go run ./cmd/fpbbench -warm 500000 -instr 2000 >/dev/null
     rm -rf "$CKDIR"
-fi
-# Scaling gate: a short sharded-vs-sequential comparison at GOMAXPROCS=2.
-# fpbbench cross-checks that every grid point produces bit-identical result
-# tables and prints a loud WARNING on stderr if the sharded engine is slower
-# than sequential at the same cpu count. Warning only — wall clock on shared
-# CI runners is too noisy to fail on. SCALE=0 skips.
-if [ "${SCALE:-1}" = 1 ]; then
-    go run ./cmd/fpbbench -cpus 2 -shards 0,64 -reps 2 -instr 3000 \
-        -workloads mcf_m >/dev/null
 fi
 # End-to-end daemon smoke: real fpbd binary, one job through the full
 # lifecycle, both /metrics formats asserted. SMOKE=0 skips it (e.g. for

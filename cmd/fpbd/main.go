@@ -164,12 +164,11 @@ func main() {
 			Logger:        log,
 			EnablePprof:   *pprofFlag,
 		},
+		FleetConfig:     client.FleetConfig{VNodes: *vnodes, ProbeInterval: *probe},
 		Self:            *advertise,
 		Peers:           peerList,
 		Replicas:        *replicas,
-		VNodes:          *vnodes,
 		PerNodeInflight: *inflight,
-		ProbeInterval:   *probe,
 	})
 	if err != nil {
 		log.Error("startup failed", "err", err)

@@ -10,8 +10,8 @@
 // table of the paper reports (speedups over the same normalization
 // baseline). -instr scales simulation length; larger values reduce noise.
 // -workers bounds simulation parallelism; -remote offloads every simulation
-// to a shared fpbd daemon, so repeated figure regenerations become cache
-// hits against its persistent result store (see cmd/fpbd).
+// to shared fpbd daemons, so repeated figure regenerations become cache
+// hits against their persistent result stores (see cmd/fpbd).
 //
 // -warmup N prepends a shared warmup phase to every simulation (optionally
 // under -warmup-scheme), and -checkpoint-dir makes grid points sharing a
@@ -52,7 +52,7 @@ func main() {
 		out       = flag.String("out", "", "also append results to this file")
 		bars      = flag.Bool("bars", false, "also render each result column as an ASCII bar chart")
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS); with -remote, in-flight requests")
-		remote    = flag.String("remote", "", "offload simulations to fpbd daemon(s) at these comma-separated addresses; several addresses form a failover fleet")
+		remote    = flag.String("remote", "", "offload simulations to the fpbd daemons at these comma-separated addresses, routed by ring owner with replica failover; 429s wait the advertised Retry-After")
 
 		warmup       = flag.Uint64("warmup", 0, "run N warmup cycles before measurement in every simulation (0 = off)")
 		warmupScheme = flag.String("warmup-scheme", "", "scheme the shared warmup phase runs under (requires -warmup)")
@@ -149,25 +149,19 @@ func main() {
 	reg := obs.NewRegistry()
 	opt.Metrics = reg
 	if *remote != "" {
-		if addrs := strings.Split(*remote, ","); len(addrs) > 1 {
-			// Several daemons: route each job to its ring owner and fail
-			// over to replicas — the experiment neither knows nor cares
-			// how many nodes executed it.
-			fleet, err := client.NewFleet(addrs, client.FleetConfig{
-				ProbeInterval: 5 * time.Second,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fpbexp:", err)
-				os.Exit(1)
-			}
-			defer fleet.Close()
-			fleet.Instrument(reg)
-			opt.Backend = fleet.Run
-		} else {
-			cl := client.New(*remote)
-			cl.Instrument(reg)
-			opt.Backend = cl.Run
+		// Route each job to its ring owner among the daemons and fail
+		// over to replicas — the experiment neither knows nor cares how
+		// many nodes executed it. One address is a one-member fleet.
+		fleet, err := client.NewFleet(strings.Split(*remote, ","), client.FleetConfig{
+			ProbeInterval: 5 * time.Second,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fpbexp:", err)
+			os.Exit(1)
 		}
+		defer fleet.Close()
+		fleet.Instrument(reg)
+		opt.Backend = fleet.Run
 	}
 	if *runStats {
 		defer func() {

@@ -15,9 +15,10 @@
 // runs sharing the same warmup prefix restore it instead of re-simulating;
 // either way the results are byte-identical.
 //
-// With -remote the run is offloaded to a shared fpbd daemon (see cmd/fpbd
-// and README "Serving"): identical requests are answered from its persistent
-// result cache without re-simulating. Trace/probe flags require a local run.
+// With -remote the run is offloaded to shared fpbd daemons (see cmd/fpbd
+// and README "Serving"): the job goes to its key's ring owner, and
+// identical requests are answered from its persistent result cache without
+// re-simulating. Trace/probe flags require a local run.
 //
 // Schemes: ideal, dimm-only, dimm+chip, gcp, gcp+ipm, fpb (= gcp+ipm+mr),
 // ipm, ipm+mr. Mappings: ne, vim, bim.
@@ -72,7 +73,7 @@ func main() {
 		wt       = flag.Bool("wt", false, "enable write truncation")
 		seed     = flag.Uint64("seed", 0, "override RNG seed (0 = default)")
 		traceDir = flag.String("tracedir", "", "replay per-core trace files <dir>/<workload>.coreN.trace instead of generating")
-		remote   = flag.String("remote", "", "offload the run to an fpbd daemon at this address (host:port)")
+		remote   = flag.String("remote", "", "offload the run to the fpbd daemons at these comma-separated addresses (host:port), routed by ring owner with replica failover")
 
 		warmup       = flag.Uint64("warmup", 0, "run N warmup cycles before measurement (0 = off; part of the declared config)")
 		warmupScheme = flag.String("warmup-scheme", "", "scheme the warmup phase runs under (default: the config default; requires -warmup)")
@@ -145,8 +146,12 @@ func main() {
 		if *traceDir != "" || *traceOut != "" || *traceJSONL != "" || *probeInterval > 0 {
 			fail("-tracedir/-trace/-trace-jsonl/-probe-interval run locally and cannot combine with -remote")
 		}
-		cli := client.New(*remote)
-		st, err := cli.Do(context.Background(), serve.JobSpec{Workload: *wl, Config: &cfg})
+		fleet, err := client.NewFleet(strings.Split(*remote, ","), client.FleetConfig{})
+		if err != nil {
+			fail("remote run: %v", err)
+		}
+		defer fleet.Close()
+		st, err := fleet.Do(context.Background(), serve.JobSpec{Workload: *wl, Config: &cfg})
 		if err != nil {
 			fail("remote run: %v", err)
 		}

@@ -131,20 +131,6 @@ func (h *Hierarchy) writebackInto(next *Cache, victimAddr uint64, out *Outcome) 
 	}
 }
 
-// Prefill warms the hierarchy with the address range [start, start+span):
-// every L3 line in the range is installed (dirty when dirty is true), so
-// steady-state capacity evictions begin immediately instead of after a
-// multi-million-instruction cold phase. Used by the workload harness; see
-// DESIGN.md §3 on warm-up substitution.
-func (h *Hierarchy) Prefill(start, span uint64, dirty bool) {
-	lineB := uint64(h.cfg.L3LineB)
-	for addr := start / lineB * lineB; addr < start+span; addr += lineB {
-		h.l3.Access(addr, dirty)
-	}
-	// Prefill distorts demand statistics; zero the counters.
-	h.l3.hits, h.l3.misses = 0, 0
-}
-
 // L3CapacityLines returns how many lines the L3 holds.
 func (h *Hierarchy) L3CapacityLines() int {
 	return h.cfg.L3SizeMB * 1024 * 1024 / h.cfg.L3LineB

@@ -106,27 +106,6 @@ func TestHierarchyStoreStreamProducesReadsAndWrites(t *testing.T) {
 	}
 }
 
-func TestHierarchyPrefillEnablesImmediateWritebacks(t *testing.T) {
-	cfg := smallConfig()
-	h := NewHierarchy(&cfg)
-	span := uint64(cfg.L3SizeMB) * 1024 * 1024 * 2
-	h.Prefill(0, span, true)
-	// First streaming store after prefill should evict a dirty line
-	// almost immediately.
-	sawWB := false
-	for i := uint64(0); i < 64 && !sawWB; i++ {
-		out := h.Access(span+i*uint64(cfg.L3LineB), true)
-		sawWB = len(out.Writebacks) > 0
-	}
-	if !sawWB {
-		t.Error("prefilled hierarchy produced no immediate writebacks")
-	}
-	if _, misses := h.L3().Stats(); misses == 0 {
-		// stats were reset by prefill, then the loop above missed
-		_ = misses
-	}
-}
-
 func TestHierarchyWritebackAllocateFillRead(t *testing.T) {
 	// A dirty 64B line whose enclosing 256B L3 line has been evicted
 	// must, when written back down the stack, allocate in L3 and record

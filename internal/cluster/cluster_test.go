@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fpb/internal/obs"
 	"fpb/internal/serve"
+	"fpb/internal/serve/client"
 	"fpb/internal/sim"
 	"fpb/internal/system"
 )
@@ -54,10 +57,10 @@ func startFleet(t *testing.T, n int, simulate func(node int) serve.SimulateFunc)
 				CheckpointDir: t.TempDir(),
 				RetryAfter:    50 * time.Millisecond,
 			},
-			Self:     h.addrs[i],
-			Peers:    peers,
-			Replicas: 2,
-			Cooldown: 200 * time.Millisecond,
+			Self:        h.addrs[i],
+			Peers:       peers,
+			Replicas:    2,
+			FleetConfig: client.FleetConfig{Cooldown: 200 * time.Millisecond},
 		}
 		if simulate != nil {
 			cfg.Serve.Simulate = simulate(i)
@@ -652,5 +655,67 @@ func TestSweepCancelWhileGated(t *testing.T) {
 		if got, _ := reg.Value(name); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestCoordinatorLocalErrorsMeetFleetPolicy: errors from Self's Local path
+// meet the fleet walk's policy exactly like a peer's HTTP answers. ErrBusy
+// is 429 pushback, retried after the Retry-After wait; any other local
+// error is terminal after one attempt.
+func TestCoordinatorLocalErrorsMeetFleetPolicy(t *testing.T) {
+	var busyOnce atomic.Bool
+	co, err := NewCoordinator(CoordinatorConfig{
+		Self:     "http://self:1",
+		Replicas: 1,
+		Local: func(spec serve.JobSpec) (serve.JobStatus, bool, error) {
+			cfg, wl, err := spec.Resolve()
+			if err != nil {
+				return serve.JobStatus{}, false, err
+			}
+			if wl == "xal_m" {
+				return serve.JobStatus{}, false, errors.New("store read failed")
+			}
+			if busyOnce.CompareAndSwap(false, true) {
+				return serve.JobStatus{}, false, serve.ErrBusy
+			}
+			res := fakeResult(cfg, wl)
+			return serve.JobStatus{State: serve.StateDone, Result: &res}, false, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Shutdown()
+	reg := obs.NewRegistry()
+	co.Instrument(reg)
+
+	st, err := co.Submit(SweepSpec{Schemes: []string{"fpb"}, Workloads: []string{"mcf_m", "xal_m"}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	final, err := co.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != SweepFailed || final.Completed != 1 || final.Failed != 1 {
+		t.Fatalf("final status: state %s completed %d failed %d", final.State, final.Completed, final.Failed)
+	}
+	for _, jo := range final.Jobs {
+		want := map[string]struct {
+			state    serve.JobState
+			attempts int
+		}{"mcf_m": {serve.StateDone, 2}, "xal_m": {serve.StateFailed, 1}}[jo.Workload]
+		if jo.State != want.state || jo.Attempts != want.attempts {
+			t.Errorf("unit %s: state %s after %d attempts, want %s after %d",
+				jo.Workload, jo.State, jo.Attempts, want.state, want.attempts)
+		}
+	}
+	if got, _ := reg.Value("cluster.jobs.retried"); got != 1 {
+		t.Errorf("cluster.jobs.retried = %v, want 1", got)
+	}
+	if down := co.Members().Down; len(down) != 0 {
+		t.Errorf("local errors marked members down: %v", down)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -22,6 +21,11 @@ import (
 
 // CoordinatorConfig sizes the sweep coordinator of one node.
 type CoordinatorConfig struct {
+	// FleetConfig tunes the coordinator's client.Fleet: ring virtual
+	// nodes (all fleet participants must agree), the down-member
+	// cooldown, background health probing, and the retry budget of each
+	// unit's replica walk.
+	client.FleetConfig
 	// Self is this node's ring identity (normalized address). Units owned
 	// by Self execute through the local serve.Server directly — no
 	// loopback HTTP.
@@ -32,9 +36,6 @@ type CoordinatorConfig struct {
 	// to the first R ring owners of its key (default 2, clamped to the
 	// fleet size). R=1 means no cross-node copies.
 	Replicas int
-	// VNodes per member (default ring.DefaultVirtualNodes). All fleet
-	// participants must agree.
-	VNodes int
 	// PerNodeInflight bounds concurrently dispatched units per target node
 	// (default 4) so one sweep cannot bury a node's queue and starve
 	// interactive jobs into 429s.
@@ -42,13 +43,6 @@ type CoordinatorConfig struct {
 	// MaxSweeps bounds retained sweep records (default 64; oldest finished
 	// records evicted first).
 	MaxSweeps int
-	// RetryBudget bounds how long a unit cycles the replica set when every
-	// node is busy or down (default 2 minutes).
-	RetryBudget time.Duration
-	// Cooldown is the down-node skip window (default ring.DefaultCooldown).
-	Cooldown time.Duration
-	// ProbeInterval enables background health probing of down members.
-	ProbeInterval time.Duration
 	// Local runs a unit on this node (wired to serve.Server.RunLocal).
 	Local func(spec serve.JobSpec) (serve.JobStatus, bool, error)
 	// Logger receives structured sweep lifecycle logs (nil discards).
@@ -59,17 +53,11 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = ring.DefaultVirtualNodes
-	}
 	if c.PerNodeInflight <= 0 {
 		c.PerNodeInflight = 4
 	}
 	if c.MaxSweeps <= 0 {
 		c.MaxSweeps = 64
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 2 * time.Minute
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -135,13 +123,14 @@ func (sr *sweepRun) status() SweepStatus {
 // any fpbd can coordinate; sweeps are independent, and two coordinators
 // dispatching overlapping keys still simulate each key once per node thanks
 // to the servers' singleflight + store dedupe.
+//
+// Routing is the fleet's: each unit walks its key's replica order through
+// client.Fleet.Walk, the same policy remote callers use.
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	ring    *ring.Ring
-	tracker *ring.Tracker
-	clients map[string]*client.Client
-	hc      *http.Client
-	log     *slog.Logger
+	cfg   CoordinatorConfig
+	fleet *client.Fleet
+	hc    *http.Client
+	log   *slog.Logger
 
 	mu      sync.Mutex
 	sweeps  map[string]*sweepRun
@@ -149,10 +138,7 @@ type Coordinator struct {
 	nextID  uint64
 	sems    map[string]chan struct{}
 	running int
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	wg      sync.WaitGroup
 
 	// Telemetry (nil-safe until Instrument).
 	cSweeps, cSweepsDone, cSweepsFailed, cSweepsCancelled     *obs.Counter
@@ -167,44 +153,37 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	cfg.Self = client.Normalize(cfg.Self)
-	members := []string{cfg.Self}
-	for _, m := range cfg.Members {
-		members = append(members, client.Normalize(m))
+	fleet, err := client.NewFleet(append([]string{cfg.Self}, cfg.Members...), cfg.FleetConfig)
+	if err != nil {
+		return nil, err
 	}
 	co := &Coordinator{
-		cfg:     cfg,
-		ring:    ring.New(cfg.VNodes, members...),
-		tracker: ring.NewTracker(cfg.Cooldown),
-		clients: make(map[string]*client.Client),
-		hc:      &http.Client{},
-		log:     cfg.Logger,
-		sweeps:  make(map[string]*sweepRun),
-		sems:    make(map[string]chan struct{}),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		fleet:  fleet,
+		hc:     &http.Client{},
+		log:    cfg.Logger,
+		sweeps: make(map[string]*sweepRun),
+		sems:   make(map[string]chan struct{}),
 	}
-	for _, m := range co.ring.Members() {
-		co.clients[m] = client.New(m)
+	for _, m := range fleet.Nodes() {
 		co.sems[m] = make(chan struct{}, cfg.PerNodeInflight)
-	}
-	if cfg.ProbeInterval > 0 {
-		co.wg.Add(1)
-		go co.probeLoop()
 	}
 	return co, nil
 }
 
 // Ring exposes the coordinator's placement ring.
-func (co *Coordinator) Ring() *ring.Ring { return co.ring }
+func (co *Coordinator) Ring() *ring.Ring { return co.fleet.Ring() }
 
 // Members reports the configured member set, sorted.
 func (co *Coordinator) Members() MembersStatus {
+	r := co.fleet.Ring()
 	return MembersStatus{
 		Self:     co.cfg.Self,
-		Members:  co.ring.Members(),
-		Down:     co.tracker.Down(),
+		Members:  r.Members(),
+		Down:     co.fleet.DownNodes(),
 		Replicas: co.cfg.Replicas,
-		VNodes:   co.cfg.VNodes,
-		Shares:   co.ring.Shares(),
+		VNodes:   r.VNodes(),
+		Shares:   r.Shares(),
 	}
 }
 
@@ -243,16 +222,16 @@ func (co *Coordinator) Instrument(reg *obs.Registry) {
 	co.cReplicaErrors = reg.Counter("cluster.replicas.errors")
 	co.hJobMs = reg.Histogram("cluster.sweep.job_ms", obs.LatencyBucketsMs)
 	co.hSweepMs = reg.Histogram("cluster.sweep.duration_ms", obs.ExpBuckets(1, 10, 8))
-	reg.Gauge("cluster.ring.members", func() float64 { return float64(co.ring.Len()) })
-	reg.Gauge("cluster.ring.owned_share", func() float64 { return co.ring.Shares()[co.cfg.Self] })
-	reg.Gauge("cluster.members.down", func() float64 { return float64(len(co.tracker.Down())) })
+	reg.Gauge("cluster.ring.members", func() float64 { return float64(co.fleet.Ring().Len()) })
+	reg.Gauge("cluster.ring.owned_share", func() float64 { return co.fleet.Ring().Shares()[co.cfg.Self] })
+	reg.Gauge("cluster.members.down", func() float64 { return float64(len(co.fleet.DownNodes())) })
 	reg.Gauge("cluster.sweeps.running", func() float64 {
 		co.mu.Lock()
 		defer co.mu.Unlock()
 		return float64(co.running)
 	})
-	co.perNodeDone = make(map[string]*obs.Counter, co.ring.Len())
-	for _, m := range co.ring.Members() {
+	co.perNodeDone = make(map[string]*obs.Counter, len(co.sems))
+	for _, m := range co.fleet.Nodes() {
 		name := "cluster.node." + nodeMetricName(m) + ".jobs_done"
 		co.perNodeDone[m] = reg.Counter(name)
 		reg.SetHelp(name, "sweep units completed by "+m)
@@ -281,29 +260,6 @@ func (co *Coordinator) Instrument(reg *obs.Registry) {
 	}
 }
 
-// probeLoop re-probes down members so recovered nodes rejoin routing early.
-func (co *Coordinator) probeLoop() {
-	defer co.wg.Done()
-	t := time.NewTicker(co.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-co.stop:
-			return
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), co.cfg.ProbeInterval)
-			for _, m := range co.tracker.Down() {
-				if err := co.clients[m].Health(ctx); err == nil {
-					co.tracker.MarkAlive(m)
-				} else {
-					co.tracker.MarkDown(m)
-				}
-			}
-			cancel()
-		}
-	}
-}
-
 // Shutdown cancels every running sweep and stops the prober. Completed
 // units keep their stored results; a restarted sweep re-runs only misses.
 func (co *Coordinator) Shutdown() {
@@ -312,8 +268,8 @@ func (co *Coordinator) Shutdown() {
 		sr.cancel()
 	}
 	co.mu.Unlock()
-	co.stopOnce.Do(func() { close(co.stop) })
 	co.wg.Wait()
+	co.fleet.Close()
 }
 
 // Submit accepts a sweep: expands it, registers the run, and starts the
@@ -486,137 +442,58 @@ func (co *Coordinator) runSweep(ctx context.Context, sr *sweepRun) {
 		"elapsed_ms", float64(elapsed.Nanoseconds())/1e6)
 }
 
-// execOn runs one unit on one member: the local fast path for Self, the
-// single-attempt HTTP submit for everyone else. busy=true maps 429/queue
-// pushback; down=true means the member looks dead (transport error, 5xx,
-// draining) and the caller should fail over.
-func (co *Coordinator) execOn(ctx context.Context, member string, u Unit) (st serve.JobStatus, busy, down bool, err error) {
-	if member == co.cfg.Self && co.cfg.Local != nil {
-		st, _, err = co.cfg.Local(u.spec)
-		switch {
-		case err == nil:
-			return st, false, false, nil
-		case errors.Is(err, serve.ErrBusy):
-			return serve.JobStatus{}, true, false, err
-		case errors.Is(err, serve.ErrDraining):
-			return serve.JobStatus{}, false, true, err
-		default:
-			// Local execution failure: a simulation error, terminal.
-			return serve.JobStatus{}, false, false, err
-		}
-	}
-	st, err = co.clients[member].Submit(ctx, u.spec)
-	if err == nil {
-		return st, false, false, nil
-	}
-	var busyErr *client.BusyError
-	if errors.As(err, &busyErr) {
-		return serve.JobStatus{}, true, false, err
-	}
-	var statusErr *client.StatusError
-	if errors.As(err, &statusErr) && statusErr.Code < 500 {
-		// 4xx: the unit itself is bad (failed simulation, bad spec);
-		// every replica would answer identically.
-		return serve.JobStatus{}, false, false, err
-	}
-	return serve.JobStatus{}, false, true, err
-}
-
-// runUnit dispatches one unit: ring owner first, then successors, skipping
-// down members, bounded by the per-node in-flight semaphores. 429 pushback
-// moves to the next replica immediately; when the whole preference order is
-// busy it sleeps the advertised Retry-After (jittered) and cycles. A
-// terminal failure (the simulation itself errors) fails the unit — and
-// therefore the sweep — without retry, because the engine is deterministic:
-// the same config fails the same way everywhere.
+// runUnit dispatches one unit along its key's replica order through the
+// fleet's walk. A terminal failure (the simulation itself errors) fails the
+// unit — and therefore the sweep — without retry, because the engine is
+// deterministic: the same config fails the same way everywhere.
 func (co *Coordinator) runUnit(ctx context.Context, sr *sweepRun, u Unit) {
-	order := co.ring.Owners(u.Key, 0)
-	deadline := time.Now().Add(co.cfg.RetryBudget)
 	start := time.Now()
-	attempts := 0
-	var lastErr error
-	for pass := 0; ; pass++ {
-		var busyWait time.Duration
-		sawBusy := false
-		for i, member := range order {
-			if ctx.Err() != nil {
-				co.recordUnit(sr, u, "", serve.JobStatus{}, attempts, ctx.Err())
-				return
-			}
-			if pass == 0 && !co.tracker.Alive(member) {
-				continue
-			}
-			if err := co.acquire(ctx, member); err != nil {
-				co.recordUnit(sr, u, "", serve.JobStatus{}, attempts, err)
-				return
-			}
-			attempts++
-			co.cJobsDispatched.Inc()
-			st, busy, down, err := co.execOn(ctx, member, u)
-			co.release(member)
-			switch {
-			case err == nil:
-				co.hJobMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-				co.recordUnit(sr, u, member, st, attempts, nil)
-				co.replicate(ctx, sr, u, member, st)
-				return
-			case busy:
-				sawBusy = true
-				co.cJobsRetried.Inc()
-				var busyErr *client.BusyError
-				if errors.As(err, &busyErr) && (busyWait == 0 || busyErr.After < busyWait) {
-					busyWait = busyErr.After
-				}
-				lastErr = err
-			case down:
-				co.tracker.MarkDown(member)
-				if i < len(order)-1 {
-					co.cFailovers.Inc()
-				}
-				co.log.Warn("unit failover", "sweep", sr.id, "key", u.Key[:8],
-					"member", member, "err", err)
-				lastErr = err
-			default:
-				// Terminal: deterministic failure, no replica can differ.
-				co.recordUnit(sr, u, member, serve.JobStatus{}, attempts, err)
-				return
-			}
-		}
-		if ctx.Err() != nil {
-			co.recordUnit(sr, u, "", serve.JobStatus{}, attempts, ctx.Err())
-			return
-		}
-		if !sawBusy && pass > 0 {
-			// A full last-resort pass over every member (down ones
-			// included) found nothing alive.
-			co.recordUnit(sr, u, "", serve.JobStatus{}, attempts,
-				fmt.Errorf("cluster: no reachable member for unit: %w", lastErr))
-			return
-		}
-		if time.Now().After(deadline) {
-			co.recordUnit(sr, u, "", serve.JobStatus{}, attempts,
-				fmt.Errorf("cluster: unit retry budget exhausted: %w", lastErr))
-			return
-		}
-		select {
-		case <-time.After(client.RetryDelay(busyWait)):
-		case <-ctx.Done():
-			co.recordUnit(sr, u, "", serve.JobStatus{}, attempts, ctx.Err())
-			return
-		}
+	w, err := co.fleet.Walk(ctx, u.Key, func(ctx context.Context, member string) (serve.JobStatus, error) {
+		return co.try(ctx, member, u)
+	})
+	co.cJobsDispatched.Add(uint64(w.Attempts))
+	co.cJobsRetried.Add(uint64(w.Busy))
+	co.cFailovers.Add(uint64(w.Failovers))
+	if w.Failovers > 0 {
+		co.log.Warn("unit failover", "sweep", sr.id, "key", u.Key[:8],
+			"failovers", w.Failovers, "member", w.Member)
 	}
+	if err != nil {
+		co.recordUnit(sr, u, "", serve.JobStatus{}, w.Attempts, err)
+		return
+	}
+	co.hJobMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	co.recordUnit(sr, u, w.Member, w.Status, w.Attempts, nil)
+	co.replicate(ctx, sr, u, w.Member, w.Status)
 }
 
-func (co *Coordinator) acquire(ctx context.Context, member string) error {
+// try makes one attempt of u on member while holding member's in-flight
+// semaphore: through Local for self (no loopback HTTP), through the
+// member's client for peers. Local's sentinel errors become the errors a
+// peer would answer with — ErrBusy a 429, ErrDraining a 503, anything else
+// a terminal 422 — so the walk applies one policy to both paths.
+func (co *Coordinator) try(ctx context.Context, member string, u Unit) (serve.JobStatus, error) {
 	select {
 	case co.sems[member] <- struct{}{}:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return serve.JobStatus{}, ctx.Err()
+	}
+	defer func() { <-co.sems[member] }()
+	if member != co.cfg.Self || co.cfg.Local == nil {
+		return co.fleet.Client(member).Submit(ctx, u.spec)
+	}
+	st, _, err := co.cfg.Local(u.spec)
+	switch {
+	case err == nil:
+		return st, nil
+	case errors.Is(err, serve.ErrBusy):
+		return serve.JobStatus{}, &client.BusyError{Node: member, Msg: err.Error()}
+	case errors.Is(err, serve.ErrDraining):
+		return serve.JobStatus{}, &client.StatusError{Code: http.StatusServiceUnavailable, Msg: err.Error()}
+	default:
+		return serve.JobStatus{}, &client.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 	}
 }
-
-func (co *Coordinator) release(member string) { <-co.sems[member] }
 
 // recordUnit settles one unit's outcome in the sweep record. An error from
 // the sweep's own cancellation settles the unit as cancelled, not failed.
@@ -669,8 +546,8 @@ func (co *Coordinator) replicate(ctx context.Context, sr *sweepRun, u Unit, exec
 	if co.cfg.Replicas <= 1 || st.Result == nil {
 		return
 	}
-	for _, target := range co.ring.Owners(u.Key, co.cfg.Replicas) {
-		if target == executed || !co.tracker.Alive(target) {
+	for _, target := range co.fleet.Ring().Owners(u.Key, co.cfg.Replicas) {
+		if target == executed || !co.fleet.Alive(target) {
 			continue
 		}
 		if err := co.pushReplica(ctx, target, ReplicaPut{Key: u.Key, Result: *st.Result}); err != nil {
@@ -709,18 +586,4 @@ func (co *Coordinator) pushReplica(ctx context.Context, target string, rp Replic
 		return fmt.Errorf("cluster: replicate to %s: %s", target, resp.Status)
 	}
 	return nil
-}
-
-// PlacementTable renders which member owns each unit of a spec — used by
-// fpbctl to preview a sweep's spread without running it.
-func (co *Coordinator) PlacementTable(units []Unit) map[string][]string {
-	out := make(map[string][]string)
-	for _, u := range units {
-		owner := co.ring.Owner(u.Key)
-		out[owner] = append(out[owner], fmt.Sprintf("%s/%s/%s", u.Scheme, u.Mapping, u.Workload))
-	}
-	for _, v := range out {
-		sort.Strings(v)
-	}
-	return out
 }

@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"fpb/internal/serve"
+	"fpb/internal/serve/client"
 )
 
 // NodeConfig assembles one fleet member: the local serve.Server plus the
@@ -25,14 +25,11 @@ type NodeConfig struct {
 	// must be configured with the same member set (Self ∪ Peers) — the
 	// ring is static per process; membership changes are a restart.
 	Peers []string
-	// Replicas / VNodes / PerNodeInflight / RetryBudget / Cooldown /
-	// ProbeInterval forward to CoordinatorConfig.
+	// FleetConfig, Replicas and PerNodeInflight forward to
+	// CoordinatorConfig.
+	client.FleetConfig
 	Replicas        int
-	VNodes          int
 	PerNodeInflight int
-	RetryBudget     time.Duration
-	Cooldown        time.Duration
-	ProbeInterval   time.Duration
 }
 
 // Node is one fpbd process in a fleet: an http.Handler layering the cluster
@@ -68,12 +65,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	co, err := NewCoordinator(CoordinatorConfig{
 		Self:            cfg.Self,
 		Members:         cfg.Peers,
+		FleetConfig:     cfg.FleetConfig,
 		Replicas:        cfg.Replicas,
-		VNodes:          cfg.VNodes,
 		PerNodeInflight: cfg.PerNodeInflight,
-		RetryBudget:     cfg.RetryBudget,
-		Cooldown:        cfg.Cooldown,
-		ProbeInterval:   cfg.ProbeInterval,
 		Logger:          srv.Logger(),
 		Local: func(spec serve.JobSpec) (serve.JobStatus, bool, error) {
 			cfg, wl, err := spec.Resolve()

@@ -250,6 +250,9 @@ func (t *Tracker) Down() []string {
 	return out
 }
 
+// VNodes returns the virtual-node count per member.
+func (r *Ring) VNodes() int { return r.vnodes }
+
 // String renders the ring compactly for logs: "ring{3 members × 64 vnodes}".
 func (r *Ring) String() string {
 	return fmt.Sprintf("ring{%d members × %d vnodes}", len(r.members), r.vnodes)

@@ -45,24 +45,30 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Seed = 11
-	res, err := c.Run(cfg, "lbm_m")
+	st, err := c.Submit(context.Background(), serve.JobSpec{Workload: "lbm_m", Config: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Workload != "lbm_m" || res.CPI != 12 {
+	if res := st.Result; res == nil || res.Workload != "lbm_m" || res.CPI != 12 {
 		t.Errorf("res = %+v", res)
 	}
 }
 
+// oneMemberFleet starts one daemon and returns a one-member fleet over it.
+func oneMemberFleet(t *testing.T, cfg serve.Config) *Fleet {
+	t.Helper()
+	_, _, f := fleetDaemons(t, 1, func(int) serve.Config { return cfg }, FleetConfig{RetryBudget: 30 * time.Second})
+	return f
+}
+
 func TestClientRetriesQueueFull(t *testing.T) {
 	var sims atomic.Int64
-	_, c := startDaemon(t, serve.Config{
+	c := oneMemberFleet(t, serve.Config{
 		Workers:    1,
 		QueueDepth: 1,
-		RetryAfter: time.Millisecond, // rounds up to 1s header; client honors it
+		RetryAfter: time.Millisecond, // advertised exactly; the fleet waits it out
 		Simulate:   fake(&sims, 50*time.Millisecond),
 	})
-	c.RetryBudget = 30 * time.Second
 
 	// More concurrent distinct jobs than worker+queue slots: some submits
 	// must see 429 and retry until the queue drains.
@@ -86,12 +92,12 @@ func TestClientRetriesQueueFull(t *testing.T) {
 	}
 }
 
-// TestRunnerOffloadsToDaemon wires the client into exp.Runner as its
+// TestRunnerOffloadsToDaemon wires a one-member fleet into exp.Runner as its
 // Backend: a figure-style Prewarm against a shared daemon must simulate each
 // distinct pair exactly once and serve Runner reads from the remote results.
 func TestRunnerOffloadsToDaemon(t *testing.T) {
 	var sims atomic.Int64
-	_, c := startDaemon(t, serve.Config{Workers: 4, QueueDepth: 32, Simulate: fake(&sims, 0)})
+	c := oneMemberFleet(t, serve.Config{Workers: 4, QueueDepth: 32, Simulate: fake(&sims, 0)})
 
 	r := exp.NewRunner(exp.Options{
 		InstrPerCore: 1000,
@@ -125,19 +131,18 @@ func TestRunnerOffloadsToDaemon(t *testing.T) {
 	}
 }
 
-// TestClientAndRunnerTelemetry: the instrumented client and an exp.Runner
+// TestClientAndRunnerTelemetry: an instrumented one-member fleet and an exp.Runner
 // sharing one registry record requests, 429 retries, backend calls and
 // latency histograms — the caller-side half of the fleet observability
 // story.
 func TestClientAndRunnerTelemetry(t *testing.T) {
 	var sims atomic.Int64
-	_, c := startDaemon(t, serve.Config{
+	c := oneMemberFleet(t, serve.Config{
 		Workers:    1,
 		QueueDepth: 1,
 		RetryAfter: time.Millisecond,
 		Simulate:   fake(&sims, 20*time.Millisecond),
 	})
-	c.RetryBudget = 30 * time.Second
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 

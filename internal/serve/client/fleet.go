@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,8 +26,8 @@ type FleetConfig struct {
 	// recovered nodes early (and detects silently dead ones). 0 disables
 	// it; failure-driven marking plus the cooldown still work.
 	ProbeInterval time.Duration
-	// RetryBudget bounds how long Do cycles the replica set when every
-	// node is busy or down (default 2 minutes, like Client).
+	// RetryBudget bounds how long a Walk keeps cycling the replica order
+	// while members answer busy (default 2 minutes).
 	RetryBudget time.Duration
 }
 
@@ -45,13 +44,15 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	return c
 }
 
-// Fleet is the multi-node, failover-aware client for a consistent-hash
-// cluster of fpbd daemons. Each job routes to the ring owner of its
+// Fleet is the failover-aware client for a consistent-hash cluster of fpbd
+// daemons, from one member up. Each job routes to the ring owner of its
 // system.Key — the node whose content-addressed store is hot for that key —
 // and walks the key's successor list when the owner is down, draining, or
-// pushing back with 429. Placement is deterministic (same ring as the
-// daemons themselves), so every client sends the same key to the same node
-// and the fleet's caches stay partitioned instead of duplicated.
+// pushing back with 429. Walk is the only code that walks that list: Do
+// and the sweep coordinator (internal/cluster) both route through it.
+// Placement is deterministic (same ring as the daemons themselves), so
+// every client sends the same key to the same node and the fleet's caches
+// stay partitioned instead of duplicated.
 //
 // Health state is failure-driven (a node that errors is skipped for
 // Cooldown) and, optionally, probe-driven: with ProbeInterval set, a
@@ -78,9 +79,9 @@ type Fleet struct {
 }
 
 // NewFleet builds a fleet client over the node addresses (each "host:port"
-// or a full URL; duplicates collapse after normalization). A single address
-// degenerates to plain single-node routing, so callers can always construct
-// a Fleet and forget whether the deployment is one daemon or twenty.
+// or a full URL; duplicates collapse after normalization). One address makes
+// a one-member fleet, so callers construct a Fleet whether the deployment is
+// one daemon or twenty.
 func NewFleet(addrs []string, cfg FleetConfig) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	members := make([]string, 0, len(addrs))
@@ -116,9 +117,10 @@ func (f *Fleet) Ring() *ring.Ring { return f.ring }
 // Nodes returns the normalized member addresses, sorted.
 func (f *Fleet) Nodes() []string { return f.ring.Members() }
 
-// Instrument registers the fleet's telemetry into reg: the same client.*
-// series a single-node Client exposes (so fpbexp -runstats output is
-// uniform) plus fleet-specific failover and health series.
+// Instrument registers Do's telemetry into reg — request count, 429
+// answers, terminal errors, and end-to-end request latency including retry
+// waits — plus the fleet's failover and health series. Call once, before
+// concurrent use.
 func (f *Fleet) Instrument(reg *obs.Registry) {
 	f.cRequests = reg.Counter("client.requests")
 	f.cRetry429 = reg.Counter("client.retries_429")
@@ -180,115 +182,166 @@ func (f *Fleet) ProbeDown(ctx context.Context) {
 	}
 }
 
-// MarkDown force-marks a member down (used by the coordinator when it
-// observes a failure through its own traffic).
+// MarkDown force-marks a member down, exactly as a failed call would.
+// Exposed for tests and one-shot tooling.
 func (f *Fleet) MarkDown(member string) { f.tracker.MarkDown(Normalize(member)) }
 
-// Do submits one job to the fleet and returns its final status. Routing:
-// the replica preference order for the job's system.Key, skipping members
-// currently believed down; a transport/5xx failure marks the node down and
-// moves on (retry-on-next-replica); a 429 moves on immediately without
-// marking the node down. When a full pass over the order yields only busy
-// nodes, Do sleeps the smallest advertised Retry-After (jittered) and
-// cycles again until ctx or the retry budget expires. 4xx responses are
-// terminal — a bad spec fails identically on every replica.
+// Alive reports whether member is currently believed reachable.
+func (f *Fleet) Alive(member string) bool { return f.tracker.Alive(member) }
+
+// Client returns the single-node client of a member (nil for non-members),
+// for callers that build their own TryFunc on top of Submit.
+func (f *Fleet) Client(member string) *Client { return f.clients[member] }
+
+// TryFunc makes one attempt of a call on one member. Its error classifies
+// the attempt the way Client.Submit's errors do: a *BusyError is 429
+// pushback, a *StatusError below 500 is terminal, and anything else (a
+// transport error, a 5xx) means the member is unhealthy.
+type TryFunc func(ctx context.Context, member string) (serve.JobStatus, error)
+
+// WalkResult reports one replica walk.
+type WalkResult struct {
+	Status    serve.JobStatus // the answering member's reply
+	Member    string          // the member that answered ("" on error)
+	Attempts  int             // try calls made
+	Busy      int             // 429 answers among them
+	Failovers int             // moves to a successor after a member failed
+}
+
+// Walk runs try along key's replica order until a member answers. It is
+// the fleet's one routing policy, shared by Do and the sweep coordinator
+// (internal/cluster):
+//
+//   - the first pass skips members believed down;
+//   - a *BusyError (429) moves on to the next replica without marking the
+//     member down;
+//   - a transport error or 5xx marks the member down and fails over;
+//   - a 4xx or a context error is terminal: a deterministic simulation
+//     fails identically on every replica;
+//   - after a pass that met a busy member, Walk sleeps the smallest
+//     advertised Retry-After (jittered, see RetryDelay) and walks every
+//     member again, down ones included, until RetryBudget expires;
+//   - a last-resort pass over every member that finds none alive and none
+//     busy ends the walk.
+func (f *Fleet) Walk(ctx context.Context, key string, try TryFunc) (WalkResult, error) {
+	order := f.ring.Owners(key, 0) // full deterministic failover order
+	deadline := time.Now().Add(f.cfg.RetryBudget)
+	var w WalkResult
+	var lastErr error
+	for pass := 0; ; pass++ {
+		var busyWait time.Duration
+		sawBusy := false
+		for i, m := range order {
+			if pass == 0 && !f.tracker.Alive(m) {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return w, err
+			}
+			w.Attempts++
+			st, err := try(ctx, m)
+			if err == nil {
+				w.Status, w.Member = st, m
+				return w, nil
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return w, cerr
+			}
+			lastErr = err
+			var busy *BusyError
+			var status *StatusError
+			switch {
+			case errors.As(err, &busy):
+				w.Busy++
+				sawBusy = true
+				if busy.After > 0 && (busyWait == 0 || busy.After < busyWait) {
+					busyWait = busy.After
+				}
+			case errors.As(err, &status) && status.Code < 500:
+				return w, err
+			default:
+				f.tracker.MarkDown(m)
+				if i < len(order)-1 {
+					w.Failovers++
+				}
+			}
+		}
+		if w.Attempts == 0 {
+			// The first pass found every member believed down: go
+			// straight to the last-resort pass.
+			continue
+		}
+		if pass > 0 && !sawBusy {
+			return w, fmt.Errorf("client: no reachable member: %w", lastErr)
+		}
+		if time.Now().After(deadline) {
+			return w, fmt.Errorf("client: fleet retry budget exhausted: %w", lastErr)
+		}
+		select {
+		case <-time.After(RetryDelay(busyWait)):
+		case <-ctx.Done():
+			return w, ctx.Err()
+		}
+	}
+}
+
+// Do submits one job to the fleet through Walk and returns its final
+// status.
 func (f *Fleet) Do(ctx context.Context, spec serve.JobSpec) (serve.JobStatus, error) {
 	cfg, wl, err := spec.Resolve()
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
-	return f.do(ctx, spec, system.Key(cfg, wl))
-}
-
-func (f *Fleet) do(ctx context.Context, spec serve.JobSpec, key string) (serve.JobStatus, error) {
 	f.cRequests.Inc()
 	start := time.Now()
-	st, err := f.doFailover(ctx, spec, key)
+	w, err := f.Walk(ctx, system.Key(cfg, wl), func(ctx context.Context, m string) (serve.JobStatus, error) {
+		return f.clients[m].Submit(ctx, spec)
+	})
+	// Latency includes retry waits: it is the caller-observed cost of the
+	// remote call, not the server's service time.
 	f.hRequestMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	f.cRetry429.Add(uint64(w.Busy))
+	f.cFailovers.Add(uint64(w.Failovers))
 	if err != nil {
 		f.cErrors.Inc()
 	}
-	return st, err
-}
-
-func (f *Fleet) doFailover(ctx context.Context, spec serve.JobSpec, key string) (serve.JobStatus, error) {
-	order := f.ring.Owners(key, 0) // full deterministic failover order
-	deadline := time.Now().Add(f.cfg.RetryBudget)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		busyWait := time.Duration(0)
-		tried := 0
-		for i, m := range order {
-			// Skip members believed down — except on a full pass where
-			// nothing was reachable; then try everyone as a last resort.
-			if attempt > 0 || f.tracker.Alive(m) {
-				st, err := f.clients[m].Submit(ctx, spec)
-				tried++
-				if err == nil {
-					return st, nil
-				}
-				lastErr = err
-				var busy *BusyError
-				var status *StatusError
-				switch {
-				case errors.As(err, &busy):
-					f.cRetry429.Inc()
-					if busyWait == 0 || busy.After < busyWait {
-						busyWait = busy.After
-					}
-				case errors.As(err, &status) && status.Code < 500 && status.Code != 429:
-					// Bad spec or failed simulation: every replica would
-					// answer the same. Terminal.
-					return serve.JobStatus{}, err
-				default:
-					// Transport error or 5xx: the node is unhealthy.
-					f.tracker.MarkDown(m)
-					if i < len(order)-1 {
-						f.cFailovers.Inc()
-					}
-				}
-				if ctx.Err() != nil {
-					return serve.JobStatus{}, ctx.Err()
-				}
-			}
-		}
-		if tried == 0 {
-			// Everything was marked down and not yet cooled down; next
-			// pass ignores the tracker.
-			continue
-		}
-		if time.Now().After(deadline) {
-			return serve.JobStatus{}, fmt.Errorf("client: fleet retry budget exhausted: %w", lastErr)
-		}
-		select {
-		case <-time.After(RetryDelay(busyWait)):
-		case <-ctx.Done():
-			return serve.JobStatus{}, ctx.Err()
-		}
-	}
+	return w.Status, err
 }
 
 // Result fetches a stored result by content key, walking the key's replica
 // order: the primary owner first, then successors (which hold it when the
-// replication factor is > 1 or a failover executed it elsewhere). ok=false
-// means no reachable node holds the key.
+// replication factor is > 1 or a failover executed it elsewhere). As in
+// Walk, the first pass skips members believed down, and a last-resort pass
+// asks every member when the first one got no answer. ok=false is a clean
+// miss; an error means no member answered at all.
 func (f *Fleet) Result(ctx context.Context, key string) (system.Result, bool, error) {
+	order := f.ring.Owners(key, 0)
 	var lastErr error
-	for _, m := range f.ring.Owners(key, 0) {
-		if !f.tracker.Alive(m) {
-			continue
-		}
-		res, ok, err := f.clients[m].Result(ctx, key)
-		if err != nil {
-			lastErr = err
-			f.tracker.MarkDown(m)
-			continue
-		}
-		if ok {
-			return res, true, nil
+	answered := false
+	for pass := 0; pass < 2 && !answered; pass++ {
+		for _, m := range order {
+			if pass == 0 && !f.tracker.Alive(m) {
+				continue
+			}
+			res, ok, err := f.clients[m].Result(ctx, key)
+			if cerr := ctx.Err(); cerr != nil {
+				return system.Result{}, false, cerr
+			}
+			if err != nil {
+				lastErr = err
+				f.tracker.MarkDown(m)
+				continue
+			}
+			if ok {
+				return res, true, nil
+			}
+			answered = true
 		}
 	}
-	return system.Result{}, false, lastErr
+	if !answered {
+		return system.Result{}, false, fmt.Errorf("client: no reachable member for result: %w", lastErr)
+	}
+	return system.Result{}, false, nil
 }
 
 // Run simulates one (config, workload) pair on the fleet; its signature
@@ -312,8 +365,4 @@ func (f *Fleet) Owners(cfg sim.Config, wl string) []string {
 }
 
 // DownNodes lists members currently believed down, sorted.
-func (f *Fleet) DownNodes() []string {
-	d := f.tracker.Down()
-	sort.Strings(d)
-	return d
-}
+func (f *Fleet) DownNodes() []string { return f.tracker.Down() }

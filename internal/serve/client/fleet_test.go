@@ -3,9 +3,11 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -388,4 +390,198 @@ func TestFleetResultReplicaRead(t *testing.T) {
 	}
 	_ = servers
 	_ = tss
+}
+
+// TestWalkPolicy drives Fleet.Walk with fake try funcs — no HTTP — through
+// every branch of the routing policy. answer decides each attempt from the
+// member's rank in the key's replica order and how often it was asked.
+func TestWalkPolicy(t *testing.T) {
+	dead := errors.New("connection refused")
+	busy := func(after time.Duration) error { return &BusyError{After: after} }
+	cases := []struct {
+		name    string
+		preDown []int // ranks marked down before the walk
+		answer  func(rank, call int, cancel context.CancelFunc) error
+		// Expectations; wantRank -1 means the walk must fail.
+		wantRank                   int
+		wantErr                    error
+		attempts, busyN, failovers int
+		wantDown                   []int
+		minElapsed, maxElapsed     time.Duration
+	}{
+		{
+			name: "429 moves on without markdown",
+			answer: func(rank, _ int, _ context.CancelFunc) error {
+				if rank == 0 {
+					return busy(time.Second)
+				}
+				return nil
+			},
+			wantRank: 1, attempts: 2, busyN: 1,
+		},
+		{
+			name: "5xx marks down and fails over",
+			answer: func(rank, _ int, _ context.CancelFunc) error {
+				if rank == 0 {
+					return &StatusError{Code: 500, Msg: "boom"}
+				}
+				return nil
+			},
+			wantRank: 1, attempts: 2, failovers: 1, wantDown: []int{0},
+		},
+		{
+			name: "transport error marks down and fails over",
+			answer: func(rank, _ int, _ context.CancelFunc) error {
+				if rank == 0 {
+					return dead
+				}
+				return nil
+			},
+			wantRank: 1, attempts: 2, failovers: 1, wantDown: []int{0},
+		},
+		{
+			name:     "4xx is terminal at the first member",
+			answer:   func(int, int, context.CancelFunc) error { return &StatusError{Code: 422, Msg: "bad"} },
+			wantRank: -1, attempts: 1,
+		},
+		{
+			name: "context error is terminal",
+			answer: func(_, _ int, cancel context.CancelFunc) error {
+				cancel()
+				return context.Canceled
+			},
+			wantRank: -1, wantErr: context.Canceled, attempts: 1,
+		},
+		{
+			name:    "first pass skips down members",
+			preDown: []int{0},
+			answer:  func(int, int, context.CancelFunc) error { return nil },
+			// The down owner is skipped, not asked.
+			wantRank: 1, attempts: 1, wantDown: []int{0},
+		},
+		{
+			name: "all busy waits the smallest Retry-After, then succeeds",
+			answer: func(rank, call int, _ context.CancelFunc) error {
+				if call == 0 {
+					return busy(time.Duration(rank+1) * 40 * time.Millisecond)
+				}
+				return nil
+			},
+			wantRank: 0, attempts: 4, busyN: 3,
+			minElapsed: 20 * time.Millisecond, maxElapsed: time.Second,
+		},
+		{
+			name:     "all dead fails after the last-resort pass",
+			answer:   func(int, int, context.CancelFunc) error { return dead },
+			wantRank: -1, attempts: 6, failovers: 4, wantDown: []int{0, 1, 2},
+			// Well under the 10 s RetryBudget: one RetryDelay(0) sleep.
+			maxElapsed: 2 * time.Second,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := NewFleet([]string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
+				FleetConfig{RetryBudget: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			const key = "walk-policy-key"
+			order := f.Ring().Owners(key, 0)
+			rank := make(map[string]int, len(order))
+			for i, m := range order {
+				rank[m] = i
+			}
+			for _, r := range c.preDown {
+				f.MarkDown(order[r])
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			calls := make(map[string]int)
+			try := func(_ context.Context, m string) (serve.JobStatus, error) {
+				n := calls[m]
+				calls[m]++
+				if err := c.answer(rank[m], n, cancel); err != nil {
+					return serve.JobStatus{}, err
+				}
+				return serve.JobStatus{State: serve.StateDone}, nil
+			}
+
+			start := time.Now()
+			w, err := f.Walk(ctx, key, try)
+			elapsed := time.Since(start)
+
+			if c.wantRank < 0 {
+				if err == nil {
+					t.Fatalf("walk succeeded on %s, want an error", w.Member)
+				}
+				if c.wantErr != nil && !errors.Is(err, c.wantErr) {
+					t.Fatalf("err = %v, want %v", err, c.wantErr)
+				}
+				if w.Member != "" {
+					t.Fatalf("failed walk reports member %q", w.Member)
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("walk failed: %v", err)
+				}
+				if w.Member != order[c.wantRank] || w.Status.State != serve.StateDone {
+					t.Fatalf("answered by %s (state %s), want rank %d %s", w.Member, w.Status.State, c.wantRank, order[c.wantRank])
+				}
+			}
+			if w.Attempts != c.attempts || w.Busy != c.busyN || w.Failovers != c.failovers {
+				t.Fatalf("attempts/busy/failovers = %d/%d/%d, want %d/%d/%d",
+					w.Attempts, w.Busy, w.Failovers, c.attempts, c.busyN, c.failovers)
+			}
+			var wantDown []string
+			for _, r := range c.wantDown {
+				wantDown = append(wantDown, order[r])
+			}
+			sort.Strings(wantDown)
+			if got := f.DownNodes(); fmt.Sprint(got) != fmt.Sprint(wantDown) {
+				t.Fatalf("DownNodes = %v, want %v", got, wantDown)
+			}
+			if elapsed < c.minElapsed {
+				t.Fatalf("walk took %v, want >= %v", elapsed, c.minElapsed)
+			}
+			if c.maxElapsed > 0 && elapsed > c.maxElapsed {
+				t.Fatalf("walk took %v, want <= %v", elapsed, c.maxElapsed)
+			}
+		})
+	}
+}
+
+// TestFleetResultAsksDownMembersAsLastResort: with every member believed
+// down, Result must still ask them rather than report a clean miss, and a
+// fleet where no member answers must report an error.
+func TestFleetResultAsksDownMembersAsLastResort(t *testing.T) {
+	var count atomic.Int64
+	_, tss, f := fleetDaemons(t, 2, func(i int) serve.Config {
+		return serve.Config{Workers: 1, StoreDir: t.TempDir(), Simulate: deterministicSim(&count)}
+	}, FleetConfig{Cooldown: time.Hour})
+
+	cfg := sim.DefaultConfig()
+	cfg.Seed = 5
+	key := system.Key(cfg, "mcf_m")
+	want, err := f.Run(cfg, "mcf_m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range f.Nodes() {
+		f.MarkDown(m)
+	}
+	got, ok, err := f.Result(context.Background(), key)
+	if err != nil || !ok {
+		t.Fatalf("Result with every member marked down: ok=%v err=%v", ok, err)
+	}
+	if got.CPI != want.CPI || got.Workload != want.Workload {
+		t.Fatalf("result mismatch: %+v vs %+v", got, want)
+	}
+
+	for _, ts := range tss {
+		ts.Close()
+	}
+	if _, ok, err := f.Result(context.Background(), key); err == nil {
+		t.Fatalf("Result from a dead fleet: ok=%v, want an error", ok)
+	}
 }

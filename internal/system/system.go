@@ -287,10 +287,12 @@ func prefill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProf
 		wStart, _ := gen.StreamWriteRegion()
 		span := gen.SpanLines()
 		wFrac := prof.WPKI / prof.RPKI
-		// Insert twice the capacity so that, despite the shuffled
-		// order's binomial spread of inserts per set, every set ends
-		// completely full (an underfilled set would absorb its first
-		// few fills without evicting, suppressing early writebacks).
+		// Insert twice the capacity so that every set ends completely
+		// full (an underfilled set would absorb its first few fills
+		// without evicting, suppressing early writebacks). Each stream's
+		// lines are one contiguous range, so every set receives a fixed
+		// share of the inserts whatever the shuffle; the 2x margin only
+		// covers the rounding of those shares.
 		total := uint64(h.L3CapacityLines()) * 2
 		nW := uint64(float64(total) * wFrac)
 		nR := total - nW

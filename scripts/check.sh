@@ -14,7 +14,8 @@ go build ./...
 go test -race ./...
 # Stress lane for the concurrent service code: the worker pool, drain,
 # cancel and failover tests must pass every time, not most of the time.
-GOMAXPROCS=2 go test -count=20 ./internal/serve/ ./internal/cluster/
+# The client package holds Fleet.Walk, the routing the coordinator uses too.
+GOMAXPROCS=2 go test -count=20 ./internal/serve/ ./internal/serve/client/ ./internal/cluster/
 # fpbdebug swaps in the Store.Get aliasing guard; run the packages that
 # exercise it so the debug build stays green.
 go test -tags fpbdebug ./internal/pcm/ ./internal/mem/

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race check bench clean
+.PHONY: all build fmt vet test race check clean
 
 all: check
 
@@ -25,11 +25,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The full pre-merge gate: gofmt, vet, build, and the race-enabled tests.
-check: fmt vet build race
-
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+# The full pre-merge gate, defined once in scripts/check.sh.
+check:
+	./scripts/check.sh
 
 clean:
 	$(GO) clean ./...

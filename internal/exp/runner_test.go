@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fpb/internal/sim"
+	"fpb/internal/stats"
 	"fpb/internal/system"
 )
 
@@ -240,47 +241,70 @@ func TestPrewarmDispatchNotBlockedBySlowSimulations(t *testing.T) {
 
 // TestRunnerWarmStartSweep is the end-to-end warm-start contract at the
 // experiment layer: a sweep of schemes sharing one warmup prefix simulates
-// the prefix exactly once, warm-starts everything else, and produces tables
-// identical to a checkpoint-free runner's.
+// the prefix once per workload, warm-starts every other grid point, and
+// renders a table byte-identical to a checkpoint-free runner's.
 func TestRunnerWarmStartSweep(t *testing.T) {
-	mk := func(dir string) *Runner {
-		return NewRunner(Options{
-			InstrPerCore:  3000,
-			Workloads:     []string{"mcf_m"},
-			WarmupCycles:  40_000,
-			CheckpointDir: dir,
-		})
-	}
 	norm := Variant{Label: "DIMM+chip", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeDIMMChip }}
 	variants := []Variant{
 		{Label: "GCP", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeGCP }},
 		{Label: "GCP+IPM", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeGCPIPM }},
 		{Label: "FPB", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeGCPIPMMR }},
 	}
+	fig18, ok := ByID("fig18")
+	if !ok {
+		t.Fatal("fig18 not registered")
+	}
+	cases := []struct {
+		name      string
+		opt       Options
+		run       func(*Runner) (*stats.Table, error)
+		sims      uint64 // simulations the sweep runs
+		warmStart uint64 // of those, restored from a checkpoint
+	}{
+		{
+			name: "speedup-table",
+			opt:  Options{InstrPerCore: 3000, Workloads: []string{"mcf_m"}, WarmupCycles: 40_000},
+			run: func(r *Runner) (*stats.Table, error) {
+				return r.SpeedupTable("t", norm, variants)
+			},
+			sims: 4, warmStart: 3,
+		},
+		{
+			// The registered Fig. 18: 5 schemes x 2 workloads, so each
+			// workload's producer runs warmup and its 4 siblings restore.
+			name: "fig18",
+			opt:  Options{InstrPerCore: 2000, Workloads: []string{"mcf_m", "mix_1"}, WarmupCycles: 500_000},
+			run:  fig18.Run,
+			sims: 10, warmStart: 8,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			warmOpt := tc.opt
+			warmOpt.CheckpointDir = t.TempDir()
+			warm := NewRunner(warmOpt)
+			got, err := tc.run(warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sims := warm.Simulations(); sims != tc.sims {
+				t.Fatalf("sweep ran %d simulations, want %d", sims, tc.sims)
+			}
+			if ws := warm.WarmStarts(); ws != tc.warmStart {
+				t.Errorf("WarmStarts() = %d, want %d", ws, tc.warmStart)
+			}
 
-	warm := mk(t.TempDir())
-	got, err := warm.SpeedupTable("t", norm, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sims := warm.Simulations(); sims != 4 {
-		t.Fatalf("sweep ran %d simulations, want 4", sims)
-	}
-	// Exactly one grid point (the checkpoint producer) ran the warmup
-	// phase; the other three restored it.
-	if ws := warm.WarmStarts(); ws != 3 {
-		t.Errorf("WarmStarts() = %d, want 3", ws)
-	}
-
-	cold := mk("")
-	want, err := cold.SpeedupTable("t", norm, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.WarmStarts() != 0 {
-		t.Errorf("checkpoint-free runner reported warm starts")
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("warm-started sweep table differs from cold sweep table:\n cold: %+v\n warm: %+v", want, got)
+			cold := NewRunner(tc.opt)
+			want, err := tc.run(cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ws := cold.WarmStarts(); ws != 0 {
+				t.Errorf("checkpoint-free runner reported %d warm starts", ws)
+			}
+			if got.String() != want.String() {
+				t.Errorf("warm-started table differs from cold table:\n cold:\n%s\n warm:\n%s", want, got)
+			}
+		})
 	}
 }

@@ -21,7 +21,8 @@ import (
 	"fpb/internal/system"
 )
 
-// SimulateFunc runs one simulation; the default is system.RunWorkload.
+// SimulateFunc runs one simulation; the default is
+// system.RunWorkloadCheckpointed against the server's checkpoint store.
 // Tests inject counters, sleeps, and failures through it.
 type SimulateFunc func(sim.Config, string) (system.Result, error)
 
@@ -48,7 +49,8 @@ type Config struct {
 	// (default 1024); the oldest finished records are evicted first.
 	MaxJobRecords int
 	// Simulate overrides the simulation function (default
-	// system.RunWorkload). Used by tests.
+	// system.RunWorkloadCheckpointed against the CheckpointDir store).
+	// Used by tests.
 	Simulate SimulateFunc
 	// Logger receives structured job-lifecycle logs (every line carries
 	// the job's correlation ID). nil discards them — tests and embedders

@@ -15,6 +15,8 @@
 //	POST /v1/jobs           run a job (blocks until done); ?async=1 returns
 //	                        202 immediately with an id to poll
 //	GET  /v1/jobs/{id}      status/result of a previously submitted job
+//	GET  /v1/results/{key}  stored result by content key, from the local
+//	                        store only (404 on a miss; no simulation)
 //	GET  /v1/checkpoints/{key}  raw warmup checkpoint image from the local store
 //	PUT  /v1/checkpoints/{key}  store a checkpoint image (validated on upload)
 //	GET  /debug/pprof/...   runtime profiles, only when Config.EnablePprof

@@ -33,3 +33,19 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		h.Access(uint64(i)*64%(8<<20), i%4 == 0)
 	}
 }
+
+// BenchmarkCacheFillDistinct measures the closed-form cold fill at the
+// Table 1 L3 geometry (32 MB, 256 B lines, 8 ways): twice the capacity of
+// distinct lines in a shuffled order, the shape of one core's prefill.
+func BenchmarkCacheFillDistinct(b *testing.B) {
+	const size, lineB, ways = 32 << 20, 256, 8
+	order := make([]int, 2*size/lineB)
+	sim.NewRNG(1).Perm(order)
+	line := func(k int) (uint64, bool) { return uint64(k) * lineB, k%3 == 0 }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := New(size, lineB, ways)
+		c.FillDistinct(order, line)
+		c.Release()
+	}
+}

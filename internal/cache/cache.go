@@ -182,6 +182,64 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicte
 	return false, victim, evicted
 }
 
+// FillDistinct leaves a cold cache in exactly the state the loop
+//
+//	for _, k := range order { c.Access(line(k)) }
+//
+// would, provided the cache has never been accessed, order is a permutation
+// of [0, len(order)) and line names a distinct line for every k. Under
+// those conditions every access misses, so the end state is known in
+// closed form: the j-th insert into a set (0-based) lands in way
+// ways-1-(j mod ways) with LRU tick i+1, where i is its position in order;
+// only each set's last ways inserts survive, each dirty iff it was a
+// write; tick and misses advance by len(order).
+//
+// Per-set insert totals do not depend on order, so they are counted in
+// natural order; order is then walked backwards writing only the
+// survivors, youngest first (each one way up from the next younger,
+// cyclically), stopping as soon as every set has all of them.
+func (c *Cache) FillDistinct(order []int, line func(k int) (addr uint64, write bool)) {
+	if c.tick != 0 {
+		panic("cache: FillDistinct on a cache that has been accessed")
+	}
+	type fillSet struct{ left, way int32 } // survivors still to write; the way the next one lands in
+	sets := make([]fillSet, c.sets)
+	for k := range order {
+		addr, _ := line(k)
+		sets[c.set(c.lineIndex(addr))].left++
+	}
+	ways := int32(c.ways)
+	open := 0 // sets still missing survivors
+	for s := range sets {
+		if n := sets[s].left; n > 0 {
+			sets[s] = fillSet{left: min(n, ways), way: ways - 1 - (n-1)%ways}
+			open++
+		}
+	}
+	for i := len(order) - 1; i >= 0 && open > 0; i-- {
+		addr, write := line(order[i])
+		lineIdx := c.lineIndex(addr)
+		s := c.set(lineIdx)
+		st := &sets[s]
+		if st.left == 0 {
+			continue
+		}
+		flags := uint64(wayValid)
+		if write {
+			flags |= wayDirty
+		}
+		c.meta[s*c.ways+int(st.way)] = way{tag: lineIdx, meta: uint64(i+1)<<tickShift | flags}
+		if st.way++; st.way == ways {
+			st.way = 0
+		}
+		if st.left--; st.left == 0 {
+			open--
+		}
+	}
+	c.tick = uint64(len(order))
+	c.misses += uint64(len(order))
+}
+
 // Contains reports whether the line holding addr is cached (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
 	lineIdx := c.lineIndex(addr)

@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"fpb/internal/sim"
 )
 
 func TestCacheHitAfterMiss(t *testing.T) {
@@ -130,4 +133,61 @@ func TestCacheStreamingEvictsEverything(t *testing.T) {
 			t.Fatalf("lap %d produced %d hits; streaming must thrash", lap, h-start)
 		}
 	}
+}
+
+// TestFillDistinctMatchesAccessLoop checks FillDistinct against the Access
+// loop it replaces, on random distinct-line sequences: sets left partly
+// filled, power-of-two and odd set counts, a non-power-of-two line size and
+// mixed dirty flags. Metadata, tick and both counters must be identical.
+func TestFillDistinctMatchesAccessLoop(t *testing.T) {
+	geoms := []struct{ size, lineB, ways int }{
+		{16 * 8 * 64, 64, 8}, // 16 sets
+		{12 * 4 * 64, 64, 4}, // 12 sets
+		{5 * 3 * 96, 96, 3},  // 5 sets, 96 B lines
+		{1 * 2 * 256, 256, 2},
+	}
+	rng := sim.NewRNG(7)
+	for _, g := range geoms {
+		capLines := g.size / g.lineB
+		for _, n := range []int{0, 1, capLines / 3, capLines, 2*capLines + 3, 5 * capLines} {
+			// n distinct lines drawn from a range four times wider, so
+			// sets receive uneven shares; addresses land mid-line.
+			pick := make([]int, 4*n+4)
+			rng.Perm(pick)
+			addrs := make([]uint64, n)
+			writes := make([]bool, n)
+			for k := range addrs {
+				addrs[k] = uint64(pick[k]*g.lineB + k%g.lineB)
+				writes[k] = rng.Bernoulli(0.4)
+			}
+			order := make([]int, n)
+			rng.Perm(order)
+
+			want := New(g.size, g.lineB, g.ways)
+			for _, k := range order {
+				want.Access(addrs[k], writes[k])
+			}
+			got := New(g.size, g.lineB, g.ways)
+			got.FillDistinct(order, func(k int) (uint64, bool) { return addrs[k], writes[k] })
+
+			if !reflect.DeepEqual(got.meta, want.meta) {
+				t.Errorf("%+v n=%d: metadata differs from the Access loop", g, n)
+			}
+			if got.tick != want.tick || got.hits != want.hits || got.misses != want.misses {
+				t.Errorf("%+v n=%d: tick/hits/misses %d/%d/%d, want %d/%d/%d", g, n,
+					got.tick, got.hits, got.misses, want.tick, want.hits, want.misses)
+			}
+		}
+	}
+}
+
+func TestFillDistinctRejectsWarmCache(t *testing.T) {
+	c := New(1024, 64, 2)
+	c.Access(0, false)
+	defer func() {
+		if recover() == nil {
+			t.Error("FillDistinct on an accessed cache did not panic")
+		}
+	}()
+	c.FillDistinct([]int{0}, func(int) (uint64, bool) { return 64, false })
 }

@@ -52,8 +52,8 @@ func NewHierarchy(cfg *sim.Config) *Hierarchy {
 // Clone returns an independent deep copy of the hierarchy bound to cfg
 // (pass the original's Cfg to keep sharing it). Used by the workload
 // harness to snapshot a prefilled hierarchy once and stamp out copies for
-// every scheme instead of re-running the multi-hundred-thousand-access
-// prefill per scheme.
+// every scheme instead of re-running the prefill (hundreds of thousands of
+// L3 inserts, then the hot-region warm-up) per scheme.
 func (h *Hierarchy) Clone(cfg *sim.Config) *Hierarchy {
 	return &Hierarchy{
 		l1:  h.l1.Clone(),

@@ -444,6 +444,38 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestBadCacheGeometryRejected submits configs whose caches cannot be
+// built to a server running the real simulator: each must be refused with
+// 400 at submission, and the server must keep answering afterwards.
+func TestBadCacheGeometryRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1}) // default Simulate = system.RunWorkload
+	for _, tc := range []struct {
+		name string
+		mut  func(*sim.Config)
+	}{
+		{"zero L3 ways", func(c *sim.Config) { c.L3Ways = 0 }},
+		{"zero L3 size", func(c *sim.Config) { c.L3SizeMB = 0 }},
+		{"zero L2 size", func(c *sim.Config) { c.L2SizeKB = 0 }},
+	} {
+		cfg := sim.DefaultConfig()
+		cfg.InstrPerCore = 1000
+		tc.mut(&cfg)
+		code, st := postJob(t, ts.URL, JobSpec{Workload: "mcf_m", Config: &cfg}, "")
+		if code != http.StatusBadRequest || st.Error == "" {
+			t.Errorf("%s: status %d %+v, want 400 with an error", tc.name, code, st)
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("%s: server stopped answering: %v", tc.name, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: healthz after the bad job: status %d", tc.name, resp.StatusCode)
+		}
+	}
+}
+
 func TestFailedSimulationReports422(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,

@@ -345,6 +345,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: BitsPerCell must be 1 or 2, got %d", c.BitsPerCell)
 	case c.L1LineB <= 0 || c.L2LineB <= 0 || c.L3LineB <= 0:
 		return fmt.Errorf("config: line sizes must be positive")
+	case c.L1SizeKB <= 0 || c.L2SizeKB <= 0 || c.L3SizeMB <= 0:
+		return fmt.Errorf("config: cache sizes must be positive (L1 %d KB, L2 %d KB, L3 %d MB)",
+			c.L1SizeKB, c.L2SizeKB, c.L3SizeMB)
+	case c.L1Ways <= 0 || c.L2Ways <= 0 || c.L3Ways <= 0:
+		return fmt.Errorf("config: cache ways must be positive (L1 %d, L2 %d, L3 %d)",
+			c.L1Ways, c.L2Ways, c.L3Ways)
 	case c.L2LineB%c.L1LineB != 0 || c.L3LineB%c.L2LineB != 0:
 		return fmt.Errorf("config: line sizes must nest (L1 %dB, L2 %dB, L3 %dB)",
 			c.L1LineB, c.L2LineB, c.L3LineB)
@@ -363,6 +369,19 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: IterMax must be at least 2, got %d", c.IterMax)
 	case c.ReadQueueEntries <= 0 || c.WriteQueueEntries <= 0:
 		return fmt.Errorf("config: queue entries must be positive")
+	}
+	for _, l := range []struct {
+		name               string
+		bytes, lineB, ways int
+	}{
+		{"L1", c.L1SizeKB << 10, c.L1LineB, c.L1Ways},
+		{"L2", c.L2SizeKB << 10, c.L2LineB, c.L2Ways},
+		{"L3", c.L3SizeMB << 20, c.L3LineB, c.L3Ways},
+	} {
+		if l.bytes/l.lineB/l.ways < 1 {
+			return fmt.Errorf("config: %s capacity %d B is below one set (%d ways of %d B)",
+				l.name, l.bytes, l.ways, l.lineB)
+		}
 	}
 	if _, ok := schemeNames[c.Scheme]; !ok {
 		return fmt.Errorf("config: unknown Scheme %d", int(c.Scheme))

@@ -93,6 +93,35 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateCacheGeometry pins the cache checks: every level needs a
+// positive size and ways count and room for at least one set, or building
+// its cache would panic.
+func TestValidateCacheGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		ok   bool
+	}{
+		{"zero L3 ways", func(c *Config) { c.L3Ways = 0 }, false},
+		{"zero L3 size", func(c *Config) { c.L3SizeMB = 0 }, false},
+		{"zero L2 size", func(c *Config) { c.L2SizeKB = 0 }, false},
+		{"negative L1 size", func(c *Config) { c.L1SizeKB = -32 }, false},
+		{"zero L1 ways", func(c *Config) { c.L1Ways = 0 }, false},
+		{"negative L2 ways", func(c *Config) { c.L2Ways = -4 }, false},
+		{"L1 below one set", func(c *Config) { c.L1SizeKB, c.L1Ways = 1, 32 }, false},
+		{"L3 below one set", func(c *Config) { c.L3SizeMB, c.L3Ways = 1, 8192 }, false},
+		{"L1 exactly one set", func(c *Config) { c.L1SizeKB, c.L1Ways = 1, 16 }, true},
+		{"L3 exactly one set", func(c *Config) { c.L3SizeMB, c.L3Ways = 1, 4096 }, true},
+	}
+	for _, tc := range cases {
+		c := DefaultConfig()
+		tc.mut(&c)
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestValidateIdealAllowsNoTokens(t *testing.T) {
 	c := DefaultConfig()
 	c.Scheme = SchemeIdeal

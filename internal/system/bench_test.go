@@ -1,6 +1,7 @@
 package system
 
 import (
+	"bytes"
 	"testing"
 
 	"fpb/internal/cache"
@@ -44,8 +45,9 @@ func prefillCore(b *testing.B) (*sim.Config, *workload.Generator, workload.CoreP
 	return &cfg, workload.NewGenerator(prof, &cfg, 0, coreRNG.Derive(1)), prof
 }
 
-// BenchmarkPrefillCold measures one core's forward prefill into a fresh
-// hierarchy: the cost a prefill snapshot-cache miss pays.
+// BenchmarkPrefillCold measures one core's prefill into a fresh hierarchy
+// (the direct L3 construction, then the hot-region warm-up): the cost a
+// prefill snapshot-cache miss pays.
 func BenchmarkPrefillCold(b *testing.B) {
 	cfg, gen, prof := prefillCore(b)
 	b.ReportAllocs()
@@ -63,5 +65,65 @@ func BenchmarkPrefillSnapshotHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prefilledHierarchy(cfg, gen, prof)
+	}
+}
+
+// dropPrefillSnapshots empties the prefill snapshot cache, so the next
+// build pays every core's cold prefill.
+func dropPrefillSnapshots() {
+	prefillSnapshots.Lock()
+	prefillSnapshots.m = nil
+	prefillSnapshots.Unlock()
+}
+
+// BenchmarkEncodeCheckpoint measures serializing a machine at its warmup
+// barrier (mcf_m, Table 1 geometry, warmTestCfg's warmup): every core's
+// cache delta against its prefill baseline plus PCM, controller and power
+// state.
+func BenchmarkEncodeCheckpoint(b *testing.B) {
+	cfg := warmTestCfg(sim.SchemeDIMMChip)
+	_, img := captureImage(b, cfg, "mcf_m")
+	sys, err := RestoreSystem(cfg, "mcf_m", img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !bytes.Equal(sys.EncodeCheckpoint(), img) {
+			b.Fatal("re-encoding the restored machine changed the image")
+		}
+	}
+	b.ReportMetric(float64(len(img)), "image-B")
+}
+
+// BenchmarkRestoreSystem measures rebuilding a machine from a barrier image.
+// Restore regenerates every core's prefill baseline: "cold" empties the
+// prefill snapshot cache before each restore, so it pays eight cold
+// prefills; "snapshot-hit" clones them from the cache.
+func BenchmarkRestoreSystem(b *testing.B) {
+	cfg := warmTestCfg(sim.SchemeDIMMChip)
+	_, img := captureImage(b, cfg, "mcf_m")
+	for _, cold := range []bool{true, false} {
+		name := "snapshot-hit"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					dropPrefillSnapshots()
+					b.StartTimer()
+				}
+				sys, err := RestoreSystem(cfg, "mcf_m", img)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Release()
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ func warmTestCfg(scheme sim.Scheme) sim.Config {
 }
 
 // captureImage runs cfg cold and returns (result, barrier image).
-func captureImage(t *testing.T, cfg sim.Config, wl string) (Result, []byte) {
+func captureImage(t testing.TB, cfg sim.Config, wl string) (Result, []byte) {
 	t.Helper()
 	w, err := workload.ByName(wl, cfg.Cores)
 	if err != nil {

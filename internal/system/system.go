@@ -181,8 +181,9 @@ func build(cfg sim.Config, wl workload.Workload, restored bool) (*System, error)
 // functions of), the profile's access-mix rates, and the full cache
 // geometry. Two cores with equal keys get byte-identical prefilled
 // hierarchies, so the result can be snapshotted and cloned instead of
-// re-running the multi-hundred-thousand-access warm-up — by far the
-// largest cost of building a system — once per (workload, scheme) pair.
+// re-running the warm-up once per (workload, scheme) pair: a cold prefill
+// costs about 20x a clone (BenchmarkPrefillCold vs
+// BenchmarkPrefillSnapshotHit).
 type prefillKey struct {
 	rStart, wStart, span uint64
 	rCur, wCur           uint64
@@ -194,10 +195,10 @@ type prefillKey struct {
 }
 
 // maxPrefillSnapshots bounds the snapshot cache. Each snapshot holds deep
-// copies of one core's cache metadata (~4 MB at the default 32 MB L3), so
-// the bound caps the cache near half a gigabyte — sized to hold every
-// distinct (profile, core-slot) pair of a full figure sweep at the default
-// geometry without evicting.
+// copies of one core's cache metadata (2.63 MB at the default 32 MB L3, as
+// BenchmarkPrefillSnapshotHit measures), so the bound caps the cache near
+// 340 MB — sized to hold every distinct (profile, core-slot) pair of a full
+// figure sweep at the default geometry without evicting.
 const maxPrefillSnapshots = 128
 
 var prefillSnapshots struct {
@@ -280,49 +281,89 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 // and the hot region is resident in L2/L3. Capacity writebacks and
 // streaming misses then behave from instruction 0 exactly as they would
 // after a multi-hundred-million-instruction cold phase.
+//
+// When the stream inserts name distinct lines (the usual case) every one of
+// them misses, so the L3 state is written directly (cache.FillDistinct);
+// otherwise the inserts replay through the LRU (streamFill.forward). Both
+// leave byte-identical state.
 func prefill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProfile) {
-	lineB := uint64(h.L3().LineBytes())
 	if prof.RPKI > 0 {
-		rStart, _ := gen.StreamReadRegion()
-		wStart, _ := gen.StreamWriteRegion()
-		span := gen.SpanLines()
-		wFrac := prof.WPKI / prof.RPKI
-		// Insert twice the capacity so that every set ends completely
-		// full (an underfilled set would absorb its first few fills
-		// without evicting, suppressing early writebacks). Each stream's
-		// lines are one contiguous range, so every set receives a fixed
-		// share of the inserts whatever the shuffle; the 2x margin only
-		// covers the rounding of those shares.
-		total := uint64(h.L3CapacityLines()) * 2
-		nW := uint64(float64(total) * wFrac)
-		nR := total - nW
-		// The resident set is the lines just behind each stream cursor,
-		// dirty for the store stream. Insertion order is shuffled so
-		// per-set LRU ages are independent of the cursors' relative
-		// phase: early-eviction victims are then dirty with the true
-		// steady-state probability (wFrac) for every seed, instead of
-		// whatever the arbitrary phase alignment would dictate.
-		type ins struct {
-			addr  uint64
-			dirty bool
-		}
-		inserts := make([]ins, 0, nR+nW)
-		for k := uint64(0); k < nR; k++ {
-			pos := (gen.ReadCursor() + span - 1 - k) % span
-			inserts = append(inserts, ins{addr: rStart + pos*lineB})
-		}
-		for k := uint64(0); k < nW; k++ {
-			pos := (gen.WriteCursor() + span - 1 - k) % span
-			inserts = append(inserts, ins{addr: wStart + pos*lineB, dirty: true})
-		}
-		rng := sim.NewRNG(gen.ReadCursor()*31 + gen.WriteCursor()*17 + 0xC0FFEE)
-		perm := make([]int, len(inserts))
-		rng.Perm(perm)
-		for _, idx := range perm {
-			h.L3().Access(inserts[idx].addr, inserts[idx].dirty)
+		f := newStreamFill(h, gen, prof)
+		if f.distinct() {
+			h.L3().FillDistinct(f.order(), f.line)
+		} else {
+			f.forward(h.L3())
 		}
 	}
-	// Hot region last (most recent): full-path accesses warm L1/L2/L3.
+	warmHot(h, gen)
+}
+
+// streamFill is the L3 stream prefill: nR read-stream lines followed by nW
+// write-stream lines, each stream walking backwards from its cursor, in a
+// shuffled insertion order.
+type streamFill struct {
+	rStart, wStart, span uint64
+	rCur, wCur, lineB    uint64
+	nR, nW               uint64
+}
+
+func newStreamFill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProfile) *streamFill {
+	f := &streamFill{span: gen.SpanLines(), rCur: gen.ReadCursor(), wCur: gen.WriteCursor(),
+		lineB: uint64(h.L3().LineBytes())}
+	f.rStart, _ = gen.StreamReadRegion()
+	f.wStart, _ = gen.StreamWriteRegion()
+	// Insert twice the capacity so that every set ends completely full (an
+	// underfilled set would absorb its first few fills without evicting,
+	// suppressing early writebacks). Each stream's lines are one
+	// contiguous range, so every set receives a fixed share of the inserts
+	// whatever the shuffle; the 2x margin only covers the rounding of
+	// those shares.
+	total := uint64(h.L3CapacityLines()) * 2
+	f.nW = uint64(float64(total) * (prof.WPKI / prof.RPKI))
+	f.nR = total - f.nW
+	return f
+}
+
+// line returns insert k: the resident set is the lines just behind each
+// stream cursor, dirty for the store stream.
+func (f *streamFill) line(k int) (addr uint64, write bool) {
+	start, cur, kk := f.rStart, f.rCur, uint64(k)
+	if write = kk >= f.nR; write {
+		start, cur, kk = f.wStart, f.wCur, kk-f.nR
+	}
+	return start + (cur+f.span-1-kk)%f.span*f.lineB, write
+}
+
+// order returns the insertion order. It is shuffled so per-set LRU ages are
+// independent of the cursors' relative phase: early-eviction victims are
+// then dirty with the true steady-state probability (WPKI/RPKI) for every
+// seed, instead of whatever the arbitrary phase alignment would dictate.
+func (f *streamFill) order() []int {
+	rng := sim.NewRNG(f.rCur*31 + f.wCur*17 + 0xC0FFEE)
+	perm := make([]int, f.nR+f.nW)
+	rng.Perm(perm)
+	return perm
+}
+
+// distinct reports whether no two inserts share a line: neither stream
+// wraps onto itself and the two regions do not overlap. A large L3 can
+// make a fixed-footprint stream wrap.
+func (f *streamFill) distinct() bool {
+	return f.nR <= f.span && f.nW <= f.span &&
+		f.wStart >= f.rStart && f.span*f.lineB <= f.wStart-f.rStart
+}
+
+// forward replays every insert through the LRU in order, discarding the
+// evictions; correct whether or not lines repeat.
+func (f *streamFill) forward(l3 *cache.Cache) {
+	for _, k := range f.order() {
+		l3.Access(f.line(k))
+	}
+}
+
+// warmHot makes the hot region the most recent content: full-path
+// accesses warm L1/L2/L3. It then zeroes the warm-up's hit/miss counts.
+func warmHot(h *cache.Hierarchy, gen *workload.Generator) {
 	hotStart, hotSpan := gen.HotRegion()
 	for addr := hotStart; addr < hotStart+hotSpan; addr += 64 {
 		h.Access(addr, false)

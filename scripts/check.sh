@@ -18,8 +18,10 @@ go test -race ./...
 # The client package holds Fleet.Walk, the routing the coordinator uses too.
 GOMAXPROCS=2 go test -count=20 ./internal/serve/ ./internal/serve/client/ ./internal/cluster/
 # fpbdebug swaps in the Store.Get aliasing guard; run the packages that
-# exercise it so the debug build stays green.
-go test -tags fpbdebug ./internal/pcm/ ./internal/mem/
+# exercise it so the debug build stays green. It also enables the full
+# prefill equivalence matrix in internal/system (every workload, core slot
+# and Fig. 19/20 cache geometry against the forward LRU replay).
+go test -tags fpbdebug ./internal/pcm/ ./internal/mem/ ./internal/system/
 # perfbench is its own module, so `go test ./...` above never compiles it,
 # yet it drives the system and ckpt APIs directly: vet and test it here so
 # an API change breaks the gate, not the benchmark run.

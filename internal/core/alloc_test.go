@@ -5,6 +5,7 @@ import (
 
 	"fpb/internal/mapping"
 	"fpb/internal/pcm"
+	"fpb/internal/power"
 	"fpb/internal/sim"
 	"fpb/internal/testutil"
 )
@@ -43,6 +44,48 @@ func TestPlanSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PlanMR+Release allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// contendedScheduler returns an FPB (GCP+IPM+Multi-RESET) scheduler whose
+// DIMM tokens are all held, and a real profile that every candidate plan
+// fails to admit against it.
+func contendedScheduler() (*Scheduler, *pcm.WriteProfile) {
+	cfg := sim.DefaultConfig()
+	cfg.Scheme = sim.SchemeGCPIPMMR
+	cfg.MultiResetSplit = pcm.MaxMultiResetSplit
+	b := pcm.NewBuilder(&cfg, sim.NewRNG(7))
+	cells := make([]int, 128)
+	for i := range cells {
+		cells[i] = i * 3 % cfg.CellsPerLine()
+	}
+	prof := b.BuildFromCells(0x40, cells, nil, mapping.New(cfg.CellMapping, cfg.CellsPerLine(), cfg.Chips), false)
+	s := NewScheduler(&cfg, power.NewManager(&cfg, nil), nil)
+	if _, ok := s.Manager().TryAcquire(power.Demand{DIMM: cfg.DIMMTokens}); !ok {
+		panic("core: blocker not granted on an idle manager")
+	}
+	return s, prof
+}
+
+// TestFailedRetryZeroAlloc guards the admission retry path: once a queued
+// write's plans are memoized, a denied TryStart re-runs only the token
+// acquisition and must not touch the allocator.
+func TestFailedRetryZeroAlloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	s, prof := contendedScheduler()
+	var ps PlanSet
+	if _, ok := s.TryStart(prof, &ps); ok {
+		t.Fatal("admitted against a fully held DIMM budget")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := s.TryStart(prof, &ps); ok {
+			t.Fatal("admitted against a fully held DIMM budget")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("failed TryStart allocated %.1f objects/op, want 0", allocs)
 	}
 }
 

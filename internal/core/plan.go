@@ -85,6 +85,7 @@ type Planner struct {
 	free      []*WritePlan
 	chunkFree [][]float64 // pooled per-chip demand vectors, each len cfg.Chips
 	counts    []int       // scratch for the Multi-RESET sub-iteration branch
+	out       int         // plans handed out and not yet released
 }
 
 // NewPlanner returns a planner for the configuration.
@@ -100,6 +101,7 @@ func (pl *Planner) Release(plan *WritePlan) {
 		return
 	}
 	plan.pooled = true
+	pl.out--
 	for i := range plan.Phases {
 		if per := plan.Phases[i].Demand.PerChip; per != nil {
 			pl.chunkFree = append(pl.chunkFree, per)
@@ -110,8 +112,14 @@ func (pl *Planner) Release(plan *WritePlan) {
 	pl.free = append(pl.free, plan)
 }
 
+// Outstanding reports how many plans are handed out and not yet released.
+// It is zero whenever no write is queued or in flight, so a nonzero count at
+// a drain barrier means a plan leaked.
+func (pl *Planner) Outstanding() int { return pl.out }
+
 // newPlan pops the pool or allocates a fresh plan.
 func (pl *Planner) newPlan() *WritePlan {
+	pl.out++
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free = pl.free[:n-1]
@@ -171,6 +179,41 @@ func (pl *Planner) PlanMR(prof *pcm.WriteProfile, m int) *WritePlan {
 		panic(fmt.Sprintf("core: Multi-RESET split %d out of range [2,%d]", m, pcm.MaxMultiResetSplit))
 	}
 	return pl.plan(prof, m)
+}
+
+// PlanSet memoizes a queued write's candidate plans across admission
+// attempts: slot 0 holds the unsplit plan and slot m (2..MaxMultiResetSplit)
+// the plan with its RESET split m ways. A plan is a pure function of
+// (profile, configuration), so the set stays valid exactly as long as the
+// profile it was built from; whoever rebuilds or releases that profile must
+// Drop the set first.
+type PlanSet struct {
+	plans [pcm.MaxMultiResetSplit + 1]*WritePlan
+}
+
+// memo returns slot m of the set (0: unsplit), building it on first use.
+func (pl *Planner) memo(ps *PlanSet, prof *pcm.WriteProfile, m int) *WritePlan {
+	if p := ps.plans[m]; p != nil {
+		return p
+	}
+	var p *WritePlan
+	if m == 0 {
+		p = pl.Plan(prof)
+	} else {
+		p = pl.PlanMR(prof, m)
+	}
+	ps.plans[m] = p
+	return p
+}
+
+// Drop returns every plan in the set to the pool and empties it.
+func (pl *Planner) Drop(ps *PlanSet) {
+	for i, p := range ps.plans {
+		if p != nil {
+			pl.Release(p)
+			ps.plans[i] = nil
+		}
+	}
 }
 
 func (pl *Planner) plan(prof *pcm.WriteProfile, mr int) *WritePlan {

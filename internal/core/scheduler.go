@@ -100,40 +100,57 @@ func (s *Scheduler) Manager() *power.Manager { return s.mgr }
 // enabled, progressively larger RESET splits (2..MultiResetSplit) are tried
 // — the greedy "start a portion of the RESETs as early as possible"
 // strategy of Section 6.2. Returns (ticket, true) on admission.
-func (s *Scheduler) TryStart(prof *pcm.WriteProfile) (*Ticket, bool) {
+//
+// Candidate plans are memoized in ps, which the caller keeps beside prof:
+// a slot is built only on the first attempt that needs it, so a retried
+// write re-runs only the token acquisition. On admission the chosen plan
+// moves into the ticket and the rest of the set is released; on failure
+// the set keeps every plan it built.
+func (s *Scheduler) TryStart(prof *pcm.WriteProfile, ps *PlanSet) (*Ticket, bool) {
 	if s.cfg.MultiResetAlways && s.cfg.UsesMultiReset() && prof.Changed > 0 {
 		// Ablation mode: unconditional split, no shortfall probe.
-		m := s.cfg.MultiResetSplit
-		if m > pcm.MaxMultiResetSplit {
-			m = pcm.MaxMultiResetSplit
-		}
-		plan := s.planner.PlanMR(prof, m)
-		if g, ok := s.mgr.TryAcquire(plan.Phases[0].Demand); ok {
+		if t, ok := s.tryPlan(prof, ps, min(s.cfg.MultiResetSplit, pcm.MaxMultiResetSplit)); ok {
 			s.mrWrites.Inc()
-			return s.admit(prof, plan, g), true
+			return t, true
 		}
-		s.planner.Release(plan)
 		s.admitFailure.Inc()
 		return nil, false
 	}
-	plan := s.planner.Plan(prof)
-	if g, ok := s.mgr.TryAcquire(plan.Phases[0].Demand); ok {
-		return s.admit(prof, plan, g), true
+	if t, ok := s.tryPlan(prof, ps, 0); ok {
+		return t, true
 	}
-	s.planner.Release(plan)
 	if s.cfg.UsesMultiReset() && prof.Changed > 0 {
 		for m := 2; m <= s.cfg.MultiResetSplit && m <= pcm.MaxMultiResetSplit; m++ {
-			mrPlan := s.planner.PlanMR(prof, m)
-			if g, ok := s.mgr.TryAcquire(mrPlan.Phases[0].Demand); ok {
+			if t, ok := s.tryPlan(prof, ps, m); ok {
 				s.mrWrites.Inc()
-				return s.admit(prof, mrPlan, g), true
+				return t, true
 			}
-			s.planner.Release(mrPlan)
 		}
 	}
 	s.admitFailure.Inc()
 	return nil, false
 }
+
+// tryPlan tries to grant the first phase of slot m of the set, admitting
+// the write on success.
+func (s *Scheduler) tryPlan(prof *pcm.WriteProfile, ps *PlanSet, m int) (*Ticket, bool) {
+	plan := s.planner.memo(ps, prof, m)
+	g, ok := s.mgr.TryAcquire(plan.Phases[0].Demand)
+	if !ok {
+		return nil, false
+	}
+	ps.plans[m] = nil
+	s.planner.Drop(ps)
+	return s.admit(prof, plan, g), true
+}
+
+// DropPlans releases a queued write's memoized plans; call it whenever the
+// profile they were built from is rebuilt or released.
+func (s *Scheduler) DropPlans(ps *PlanSet) { s.planner.Drop(ps) }
+
+// OutstandingPlans reports how many plans are out of the planner's pool:
+// memoized on queued writes or held by live tickets.
+func (s *Scheduler) OutstandingPlans() int { return s.planner.Outstanding() }
 
 func (s *Scheduler) admit(prof *pcm.WriteProfile, plan *WritePlan, g *power.Grant) *Ticket {
 	s.started.Inc()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"fpb/internal/pcm"
@@ -36,25 +37,25 @@ func TestFigure5Scenario(t *testing.T) {
 
 	cfgPW := fig5Config(sim.SchemeDIMMChip)
 	sPW := newSched(&cfgPW)
-	tkA, ok := sPW.TryStart(a)
+	tkA, ok := sPW.TryStart(a, new(PlanSet))
 	if !ok {
 		t.Fatal("per-write: WR-A not admitted")
 	}
-	if _, ok := sPW.TryStart(b); ok {
+	if _, ok := sPW.TryStart(b, new(PlanSet)); ok {
 		t.Fatal("per-write: WR-B admitted alongside WR-A (only 30 tokens free)")
 	}
 	runToCompletion(t, sPW, tkA)
-	if _, ok := sPW.TryStart(b); !ok {
+	if _, ok := sPW.TryStart(b, new(PlanSet)); !ok {
 		t.Fatal("per-write: WR-B not admitted after WR-A finished")
 	}
 
 	cfgIPM := fig5Config(sim.SchemeIPM)
 	sIPM := newSched(&cfgIPM)
-	tkA2, ok := sIPM.TryStart(a)
+	tkA2, ok := sIPM.TryStart(a, new(PlanSet))
 	if !ok {
 		t.Fatal("IPM: WR-A not admitted")
 	}
-	if _, ok := sIPM.TryStart(b); ok {
+	if _, ok := sIPM.TryStart(b, new(PlanSet)); ok {
 		t.Fatal("IPM: WR-B admitted during WR-A's RESET")
 	}
 	// WR-A finishes its RESET: allocation drops 50 → 25, freeing 25.
@@ -64,7 +65,7 @@ func TestFigure5Scenario(t *testing.T) {
 	if got := sIPM.Manager().DIMMAvailable(); got != 55 {
 		t.Fatalf("APT after WR-A RESET = %g, want 55 (Fig. 5b)", got)
 	}
-	if _, ok := sIPM.TryStart(b); !ok {
+	if _, ok := sIPM.TryStart(b, new(PlanSet)); !ok {
 		t.Fatal("IPM: WR-B not admitted after RESET reclamation (Fig. 5b)")
 	}
 }
@@ -77,10 +78,10 @@ func TestFigure6MultiReset(t *testing.T) {
 	s := newSched(&cfg)
 	a := wrA(8)
 	b := manualProfile(60, []int{58, 30, 14, 6, 0}, 8)
-	if _, ok := s.TryStart(a); !ok {
+	if _, ok := s.TryStart(a, new(PlanSet)); !ok {
 		t.Fatal("WR-A not admitted")
 	}
-	tkB, ok := s.TryStart(b)
+	tkB, ok := s.TryStart(b, new(PlanSet))
 	if !ok {
 		t.Fatal("WR-B not admitted despite Multi-RESET")
 	}
@@ -96,11 +97,11 @@ func TestFigure6MultiReset(t *testing.T) {
 func TestMultiResetNotUsedWhenDisabled(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM) // no MR
 	s := newSched(&cfg)
-	if _, ok := s.TryStart(wrA(8)); !ok {
+	if _, ok := s.TryStart(wrA(8), new(PlanSet)); !ok {
 		t.Fatal("WR-A not admitted")
 	}
 	b := manualProfile(60, []int{58, 30, 14, 6, 0}, 8)
-	if _, ok := s.TryStart(b); ok {
+	if _, ok := s.TryStart(b, new(PlanSet)); ok {
 		t.Fatal("WR-B admitted without MR despite 30-token APT")
 	}
 }
@@ -109,7 +110,7 @@ func TestTicketLifecycle(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	s := newSched(&cfg)
 	prof := wrA(8)
-	tk, ok := s.TryStart(prof)
+	tk, ok := s.TryStart(prof, new(PlanSet))
 	if !ok {
 		t.Fatal("not admitted")
 	}
@@ -141,12 +142,12 @@ func TestMultiResetDemandBumpWaits(t *testing.T) {
 	// the write must wait at the boundary.
 	cfg := fig5Config(sim.SchemeIPMMR)
 	s := newSched(&cfg)
-	blocker, ok := s.TryStart(manualProfile(55, []int{53, 28, 12, 0}, 8))
+	blocker, ok := s.TryStart(manualProfile(55, []int{53, 28, 12, 0}, 8), new(PlanSet))
 	if !ok {
 		t.Fatal("blocker not admitted") // holds 55, APT 25
 	}
 	b := manualProfile(60, []int{58, 30, 14, 6, 0}, 8)
-	tkB, ok := s.TryStart(b) // MR2 needs 30 > 25; MR3 groups of 20 fit
+	tkB, ok := s.TryStart(b, new(PlanSet)) // MR2 needs 30 > 25; MR3 groups of 20 fit
 	if !ok {
 		t.Fatal("WR-B not admitted with MR")
 	}
@@ -186,7 +187,7 @@ func TestMultiResetDemandBumpWaits(t *testing.T) {
 func TestPauseResume(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	s := newSched(&cfg)
-	tk, _ := s.TryStart(wrA(8))
+	tk, _ := s.TryStart(wrA(8), new(PlanSet))
 	avail := s.Manager().DIMMAvailable()
 	s.Pause(tk)
 	if !tk.Paused() {
@@ -211,9 +212,9 @@ func TestPauseResume(t *testing.T) {
 func TestResumeFailsWhenTokensTaken(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	s := newSched(&cfg)
-	tk, _ := s.TryStart(wrA(8)) // 50 tokens
+	tk, _ := s.TryStart(wrA(8), new(PlanSet)) // 50 tokens
 	s.Pause(tk)
-	other, ok := s.TryStart(manualProfile(60, []int{30, 0}, 8))
+	other, ok := s.TryStart(manualProfile(60, []int{30, 0}, 8), new(PlanSet))
 	if !ok {
 		t.Fatal("competitor not admitted into paused window")
 	}
@@ -231,7 +232,7 @@ func TestResumeFailsWhenTokensTaken(t *testing.T) {
 func TestCancelReleasesEverything(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	s := newSched(&cfg)
-	tk, _ := s.TryStart(wrA(8))
+	tk, _ := s.TryStart(wrA(8), new(PlanSet))
 	s.Cancel(tk)
 	if s.Manager().DIMMAvailable() != cfg.DIMMTokens {
 		t.Error("cancel leaked tokens")
@@ -251,7 +252,7 @@ func TestGCPUsedAccumulates(t *testing.T) {
 		RemainTotal:   []int{60, 0},
 		RemainPerChip: [][]int{{60, 0, 0, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0}},
 	}
-	if _, ok := s.TryStart(hot); !ok {
+	if _, ok := s.TryStart(hot, new(PlanSet)); !ok {
 		t.Fatal("first hot write not admitted")
 	}
 	hot2 := &pcm.WriteProfile{
@@ -261,7 +262,7 @@ func TestGCPUsedAccumulates(t *testing.T) {
 		RemainTotal:   []int{30, 0},
 		RemainPerChip: [][]int{{30, 0, 0, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0}},
 	}
-	tk2, ok := s.TryStart(hot2)
+	tk2, ok := s.TryStart(hot2, new(PlanSet))
 	if !ok {
 		t.Fatal("second hot write not admitted despite GCP")
 	}
@@ -294,22 +295,126 @@ func TestChipBlockingFigure3(t *testing.T) {
 		return p
 	}
 	a := mk(int(lcp)) // 66 cells on chip 1
-	if _, ok := s.TryStart(a); !ok {
+	if _, ok := s.TryStart(a, new(PlanSet)); !ok {
 		t.Fatal("WR-A not admitted")
 	}
 	// WR-B wants 3 more cells on chip 1: DIMM has 494 tokens free, but
 	// chip 1 has only 0.5 — blocked, the exact pathology of Fig. 3.
-	if _, ok := s.TryStart(mk(3)); ok {
+	if _, ok := s.TryStart(mk(3), new(PlanSet)); ok {
 		t.Fatal("WR-B admitted past chip 1's budget")
 	}
 	// The same WR-B under a GCP goes through.
 	cfgG := cfg
 	cfgG.Scheme = sim.SchemeGCP
 	sG := newSched(&cfgG)
-	if _, ok := sG.TryStart(a); !ok {
+	if _, ok := sG.TryStart(a, new(PlanSet)); !ok {
 		t.Fatal("GCP: WR-A not admitted")
 	}
-	if _, ok := sG.TryStart(mk(3)); !ok {
+	if _, ok := sG.TryStart(mk(3), new(PlanSet)); !ok {
 		t.Fatal("GCP: WR-B still blocked")
 	}
+}
+
+// TestPlanSetMemoizesAcrossFailedAttempts: a denied write builds each
+// candidate plan once, keeps it across retries (each still counted as an
+// admission failure), and on admission hands the chosen plan to the ticket
+// and releases the rest.
+func TestPlanSetMemoizesAcrossFailedAttempts(t *testing.T) {
+	cfg := fig5Config(sim.SchemeIPMMR)
+	cfg.MultiResetSplit = 3
+	s := newSched(&cfg)
+	b := manualProfile(60, []int{58, 30, 14, 6, 0}, 8)
+	blocker, ok := s.TryStart(manualProfile(80, []int{0}, 8), new(PlanSet))
+	if !ok {
+		t.Fatal("blocker not admitted")
+	}
+	var ps PlanSet
+	if _, ok := s.TryStart(b, &ps); ok {
+		t.Fatal("WR-B admitted while the blocker holds every token")
+	}
+	built := ps.plans
+	for _, m := range []int{0, 2, 3} {
+		if built[m] == nil {
+			t.Fatalf("slot %d not built by the first failed attempt", m)
+		}
+	}
+	out := s.OutstandingPlans()
+	for i := 0; i < 3; i++ {
+		if _, ok := s.TryStart(b, &ps); ok {
+			t.Fatal("WR-B admitted while the blocker holds every token")
+		}
+	}
+	if ps.plans != built || s.OutstandingPlans() != out {
+		t.Error("failed retries rebuilt memoized plans")
+	}
+	if _, _, _, _, _, fails := s.Stats(); fails != 4 {
+		t.Errorf("admit failures = %d, want 4", fails)
+	}
+
+	s.Cancel(blocker)
+	tk, ok := s.TryStart(b, &ps)
+	if !ok {
+		t.Fatal("WR-B not admitted on an idle manager")
+	}
+	if tk.Plan != built[0] {
+		t.Error("admission did not hand the memoized unsplit plan to the ticket")
+	}
+	if ps != (PlanSet{}) || s.OutstandingPlans() != 1 {
+		t.Errorf("after admission: set %v, %d plans outstanding, want empty and 1",
+			ps.plans, s.OutstandingPlans())
+	}
+	runToCompletion(t, s, tk)
+	if n := s.OutstandingPlans(); n != 0 {
+		t.Errorf("%d plans outstanding after the last write finished", n)
+	}
+}
+
+// TestPlanSetMultiResetAlways: the always-split ablation memoizes only its
+// one split plan and admits with a plan equal to a fresh PlanMR.
+func TestPlanSetMultiResetAlways(t *testing.T) {
+	cfg := fig5Config(sim.SchemeIPMMR)
+	cfg.MultiResetSplit = 3
+	cfg.MultiResetAlways = true
+	s := newSched(&cfg)
+	b := manualProfile(60, []int{58, 30, 14, 6, 0}, 8)
+	hold, _ := s.Manager().TryAcquire(power.Demand{DIMM: cfg.DIMMTokens})
+	var ps PlanSet
+	if _, ok := s.TryStart(b, &ps); ok {
+		t.Fatal("admitted with no tokens free")
+	}
+	for m, p := range ps.plans {
+		if (p != nil) != (m == 3) {
+			t.Fatalf("slot %d built = %v, want only slot 3", m, p != nil)
+		}
+	}
+	s.Manager().Release(hold)
+	tk, ok := s.TryStart(b, &ps)
+	if !ok {
+		t.Fatal("not admitted on an idle manager")
+	}
+	if !reflect.DeepEqual(*tk.Plan, *NewPlanner(&cfg).PlanMR(b, 3)) {
+		t.Error("admitted plan differs from a fresh PlanMR")
+	}
+}
+
+// TestDropPlansReturnsEverything: dropping a set built by failed attempts
+// returns every plan to the pool.
+func TestDropPlansReturnsEverything(t *testing.T) {
+	cfg := fig5Config(sim.SchemeIPMMR)
+	cfg.MultiResetSplit = pcm.MaxMultiResetSplit
+	s := newSched(&cfg)
+	hold, _ := s.Manager().TryAcquire(power.Demand{DIMM: cfg.DIMMTokens})
+	var ps PlanSet
+	if _, ok := s.TryStart(wrA(8), &ps); ok {
+		t.Fatal("admitted with no tokens free")
+	}
+	if n := s.OutstandingPlans(); n != pcm.MaxMultiResetSplit {
+		t.Errorf("%d plans outstanding, want %d (unsplit + splits 2..%d)",
+			n, pcm.MaxMultiResetSplit, pcm.MaxMultiResetSplit)
+	}
+	s.DropPlans(&ps)
+	if ps != (PlanSet{}) || s.OutstandingPlans() != 0 {
+		t.Errorf("after DropPlans: set %v, %d outstanding", ps.plans, s.OutstandingPlans())
+	}
+	s.Manager().Release(hold)
 }

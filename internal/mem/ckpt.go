@@ -20,19 +20,25 @@ func rotShiftEvery(cfg *sim.Config) int {
 
 // Quiesced reports whether the memory subsystem is at a checkpointable
 // barrier: no queued or in-flight work, no core waiting for queue space, no
-// burst draining, and every power token free.
+// burst draining, every power token free, and every power plan back in the
+// planner's pool (a plan still out means a leaked memo or ticket).
 func (c *Controller) Quiesced() bool {
 	return c.Drained() && !c.burst &&
 		len(c.readSpaceWaiters) == 0 && len(c.writeSpaceWaiters) == 0 &&
-		c.sched.Manager().Quiesced()
+		c.sched.Manager().Quiesced() && c.sched.OutstandingPlans() == 0
 }
 
 // Rebind re-derives every configuration-dependent structure after the warmup
 // barrier swapped the shared config's policy fields to the measurement
 // values: the cell mapping and its tables, the rotator's shift interval, and
 // the power pools. Structural fields (banks, chips, line size, queue depths)
-// must be unchanged — the warmup config pins only policy fields.
+// must be unchanged — the warmup config pins only policy fields. Plans
+// depend on the scheme, so Rebind panics unless the controller is quiesced:
+// a plan memoized under the old scheme must not survive the switch.
 func (c *Controller) Rebind() {
+	if !c.Quiesced() {
+		panic("mem: Rebind on a controller that is not quiesced")
+	}
 	cfg := c.cfg
 	c.mapFn = mapping.New(cfg.CellMapping, cfg.CellsPerLine(), cfg.Chips)
 	c.mapTab = mapping.NewTable(c.mapFn, cfg.CellsPerLine(), cfg.Chips)

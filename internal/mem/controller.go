@@ -439,10 +439,11 @@ func (c *Controller) issueWrites() {
 			continue
 		}
 		prof := c.profileFor(req)
-		ticket, ok := c.sched.TryStart(prof)
+		ticket, ok := c.sched.TryStart(prof, &req.plans)
 		if !ok {
-			// Not admitted: the profile stays cached on the request and
-			// is revalidated — not rebuilt — on the next attempt.
+			// Not admitted: the profile and its plans stay cached on the
+			// request; the next attempt revalidates the profile and
+			// re-runs only the token acquisition.
 			if !powerOOO {
 				break
 			}
@@ -536,9 +537,10 @@ func (c *Controller) startRead(bank int, req *ReadRequest, duringPause bool) {
 // read-before-write comparison against stored content — serving the
 // request's cached profile while its content-version and rotation tags
 // still match. The profile stays cached on the request until the write
-// issues, so denied issue attempts stop paying for rebuilds: a rebuild
+// completes, so denied issue attempts stop paying for rebuilds: a rebuild
 // under unchanged tags is bit-identical by construction (Build seeds its
-// draws from the content hash).
+// draws from the content hash). A stale profile takes its memoized plans
+// with it.
 func (c *Controller) profileFor(req *WriteRequest) *pcm.WriteProfile {
 	ver := c.lineWrites[req.Addr]
 	rot := c.rot.Offset(req.Addr)
@@ -546,6 +548,7 @@ func (c *Controller) profileFor(req *WriteRequest) *pcm.WriteProfile {
 		if req.profVer == ver && req.profRot == rot {
 			return req.prof
 		}
+		c.sched.DropPlans(&req.plans)
 		c.builder.Release(req.prof)
 		req.prof = nil
 	}
@@ -708,7 +711,9 @@ func (c *Controller) cancelWrite(op *writeOp) {
 	// req.prof are the same object, still tagged with its build-time
 	// version and offset), so if neither the line content nor its
 	// rotation changed before the retry, the rebuild is skipped — a
-	// rebuild under unchanged tags would be bit-identical anyway.
+	// rebuild under unchanged tags would be bit-identical anyway. The
+	// plan went back to the pool with the ticket; the re-issue replans
+	// into the request's (empty) plan set.
 	op.prof = nil
 	c.wrq = append([]*WriteRequest{op.req}, c.wrq...)
 }

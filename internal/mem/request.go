@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fpb/internal/core"
 	"fpb/internal/pcm"
 	"fpb/internal/sim"
 )
@@ -33,4 +34,8 @@ type WriteRequest struct {
 	prof    *pcm.WriteProfile
 	profVer uint64 // lineWrites[Addr] the profile was built against
 	profRot int    // rotation offset the profile was built against
+	// plans memoizes the candidate power plans built from prof, so a
+	// denied admission is retried without replanning. The set lives and
+	// dies with prof: it is dropped whenever prof is rebuilt or released.
+	plans core.PlanSet
 }

@@ -9,6 +9,11 @@
 // internal/core decide *when* it happens.
 package pcm
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // CellState is the 2-bit MLC state of a cell: 0b00, 0b01, 0b10 or 0b11.
 // '00' is fully RESET (amorphous) and '11' is fully SET (crystalline);
 // '01' and '10' are the hard intermediate states.
@@ -51,17 +56,22 @@ func NumCells(lineBytes, bitsPerCell int) int {
 }
 
 // DiffCells appends to dst the indices of cells whose stored value differs
-// between old and new, and returns the extended slice. old and new must be
-// the same length; old may be nil, meaning an all-zero line (the paper's
-// Fig. 3 convention for untouched memory).
+// between old and new, in ascending order, and returns the extended slice.
+// old and new must be the same length; old may be nil, meaning an all-zero
+// line (the paper's Fig. 3 convention for untouched memory). Lines are
+// compared a 64-bit word at a time; bytes past the last whole word fall
+// back to a per-cell loop.
 func DiffCells(dst []int, old, new []byte, bitsPerCell int) []int {
-	n := NumCells(len(new), bitsPerCell)
-	for i := 0; i < n; i++ {
-		var o CellState
-		if old != nil {
-			o = Cell(old, i, bitsPerCell)
+	shift := cellShift(bitsPerCell)
+	words := len(new) / 8
+	for w := 0; w < words; w++ {
+		base := w * 64 >> shift
+		for x := diffWord(old, new, w*8, bitsPerCell); x != 0; x &= x - 1 {
+			dst = append(dst, base+bits.TrailingZeros64(x)>>shift)
 		}
-		if o != Cell(new, i, bitsPerCell) {
+	}
+	for i, n := words*64>>shift, NumCells(len(new), bitsPerCell); i < n; i++ {
+		if cellDiffers(old, new, i, bitsPerCell) {
 			dst = append(dst, i)
 		}
 	}
@@ -72,16 +82,48 @@ func DiffCells(dst []int, old, new []byte, bitsPerCell int) []int {
 // DiffCells without materializing the index list (used by Figure 2's
 // cell-change census, where only the count matters).
 func CountChangedCells(old, new []byte, bitsPerCell int) int {
-	n := NumCells(len(new), bitsPerCell)
+	shift := cellShift(bitsPerCell)
+	words := len(new) / 8
 	count := 0
-	for i := 0; i < n; i++ {
-		var o CellState
-		if old != nil {
-			o = Cell(old, i, bitsPerCell)
-		}
-		if o != Cell(new, i, bitsPerCell) {
+	for w := 0; w < words; w++ {
+		count += bits.OnesCount64(diffWord(old, new, w*8, bitsPerCell))
+	}
+	for i, n := words*64>>shift, NumCells(len(new), bitsPerCell); i < n; i++ {
+		if cellDiffers(old, new, i, bitsPerCell) {
 			count++
 		}
 	}
 	return count
+}
+
+// cellShift is log2(bitsPerCell), with the same "1, else 2" reading as Cell.
+func cellShift(bitsPerCell int) int {
+	if bitsPerCell == 1 {
+		return 0
+	}
+	return 1
+}
+
+// diffWord XORs the little-endian words at byte offset off of old (nil: all
+// zeros) and new and, for 2-bit cells, folds each cell's two bits into its
+// low bit, so the result has exactly one bit set per changed cell: bit k
+// stands for cell k>>cellShift of the word.
+func diffWord(old, new []byte, off, bitsPerCell int) uint64 {
+	x := binary.LittleEndian.Uint64(new[off:])
+	if old != nil {
+		x ^= binary.LittleEndian.Uint64(old[off:])
+	}
+	if bitsPerCell != 1 {
+		x = (x | x>>1) & 0x5555555555555555
+	}
+	return x
+}
+
+// cellDiffers compares cell i of old (nil: all zeros) and new.
+func cellDiffers(old, new []byte, i, bitsPerCell int) bool {
+	var o CellState
+	if old != nil {
+		o = Cell(old, i, bitsPerCell)
+	}
+	return o != Cell(new, i, bitsPerCell)
 }

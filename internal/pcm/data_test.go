@@ -1,8 +1,11 @@
 package pcm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"fpb/internal/sim"
 )
 
 func TestCellRoundTripMLC(t *testing.T) {
@@ -88,6 +91,61 @@ func TestDiffCellsIdenticalIsEmpty(t *testing.T) {
 	data := []byte{0xAB, 0xCD, 0xEF, 0x01}
 	if cells := DiffCells(nil, data, data, 2); len(cells) != 0 {
 		t.Errorf("identical lines diff = %v, want empty", cells)
+	}
+}
+
+// refDiffCells is the per-cell comparison DiffCells replaced, kept as the
+// reference its word-parallel version must match.
+func refDiffCells(old, new []byte, bitsPerCell int) []int {
+	var dst []int
+	for i := 0; i < NumCells(len(new), bitsPerCell); i++ {
+		var o CellState
+		if old != nil {
+			o = Cell(old, i, bitsPerCell)
+		}
+		if o != Cell(new, i, bitsPerCell) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// TestDiffCellsMatchesPerCellReference cross-checks the word-parallel diff
+// and count against the per-cell reference on random lines: both cell
+// widths, a nil old line, sparse and dense changes, and lengths that leave
+// a tail shorter than a word.
+func TestDiffCellsMatchesPerCellReference(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 64, 100, 256, 261} {
+		for _, bpc := range []int{1, 2} {
+			for trial := 0; trial < 50; trial++ {
+				old := make([]byte, n)
+				new := make([]byte, n)
+				for i := range old {
+					old[i] = byte(rng.Uint64())
+					new[i] = old[i]
+					// Vary the density: trial 0 leaves the line
+					// unchanged, later trials flip more bytes.
+					if rng.Intn(50) < trial {
+						new[i] = byte(rng.Uint64())
+					}
+				}
+				var oldArg []byte
+				if trial%5 != 0 {
+					oldArg = old
+				}
+				want := refDiffCells(oldArg, new, bpc)
+				got := DiffCells([]int{-1}, oldArg, new, bpc)[1:]
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d bpc=%d nil-old=%v: DiffCells = %v, want %v",
+						n, bpc, oldArg == nil, got, want)
+				}
+				if c := CountChangedCells(oldArg, new, bpc); c != len(want) {
+					t.Fatalf("n=%d bpc=%d nil-old=%v: CountChangedCells = %d, want %d",
+						n, bpc, oldArg == nil, c, len(want))
+				}
+			}
+		}
 	}
 }
 

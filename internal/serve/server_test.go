@@ -456,6 +456,8 @@ func TestBadCacheGeometryRejected(t *testing.T) {
 		{"zero L3 ways", func(c *sim.Config) { c.L3Ways = 0 }},
 		{"zero L3 size", func(c *sim.Config) { c.L3SizeMB = 0 }},
 		{"zero L2 size", func(c *sim.Config) { c.L2SizeKB = 0 }},
+		{"huge L3 size", func(c *sim.Config) { c.L3SizeMB = 1 << 20 }},
+		{"huge core count", func(c *sim.Config) { c.Cores = 1 << 30 }},
 	} {
 		cfg := sim.DefaultConfig()
 		cfg.InstrPerCore = 1000

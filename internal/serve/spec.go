@@ -105,7 +105,28 @@ func (s JobSpec) Resolve() (sim.Config, string, error) {
 	if err := cfg.Validate(); err != nil {
 		return sim.Config{}, "", fmt.Errorf("serve: job spec: %w", err)
 	}
+	if b := cacheMetadataBytes(&cfg); b > maxJobMetadataBytes {
+		return sim.Config{}, "", fmt.Errorf("serve: job spec: %d cores of L1/L2/L3 need %.3g GiB of cache metadata, above the %d GiB per-job limit",
+			cfg.Cores, b/(1<<30), maxJobMetadataBytes>>30)
+	}
 	return cfg, s.Workload, nil
+}
+
+// maxJobMetadataBytes bounds the cache metadata one job may make a worker
+// allocate, so a single request cannot exhaust the node's memory. The
+// largest paper configuration (Fig. 20's 128 MB LLC, 8 cores) needs about
+// 70 MB; this leaves room for every sweep point and some headroom.
+const maxJobMetadataBytes = 1 << 30
+
+// cacheMetadataBytes estimates the cache metadata cfg allocates: every
+// core's L1, L2 and L3 lines at 16 bytes of tag and LRU state each. It
+// computes in float64 so absurd sizes cannot overflow into a small value.
+func cacheMetadataBytes(cfg *sim.Config) float64 {
+	const bytesPerLine = 16
+	lines := float64(cfg.L1SizeKB)*(1<<10)/float64(cfg.L1LineB) +
+		float64(cfg.L2SizeKB)*(1<<10)/float64(cfg.L2LineB) +
+		float64(cfg.L3SizeMB)*(1<<20)/float64(cfg.L3LineB)
+	return float64(cfg.Cores) * lines * bytesPerLine
 }
 
 // JobState enumerates a job's lifecycle.

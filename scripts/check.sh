@@ -1,7 +1,7 @@
 #!/bin/sh
-# Pre-merge gate: gofmt cleanliness, vet, build, race-enabled tests, the
-# stress, fpbdebug and checkpoint lanes, the benchmark module, and the daemon
-# smoke. `make check` runs this script.
+# Pre-merge gate: gofmt cleanliness, vet, build, race-enabled tests, one pass
+# of every microbenchmark, the stress, fpbdebug and checkpoint lanes, the
+# benchmark module, and the daemon smoke. `make check` runs this script.
 set -eux
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
@@ -13,6 +13,9 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
+# Run every package microbenchmark once, so a benchmark that panics or has
+# gone stale against its package's API fails the gate.
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 # Stress lane for the concurrent service code: the worker pool, drain,
 # cancel and failover tests must pass every time, not most of the time.
 # The client package holds Fleet.Walk, the routing the coordinator uses too.

@@ -199,6 +199,7 @@ func (c *Controller) TryEnqueueRead(addr uint64, done func()) bool {
 	}
 	c.rdq = append(c.rdq, &ReadRequest{
 		Addr: c.amap.LineAddr(addr), Demand: true, Done: done, enqueued: c.eng.Now(),
+		bank: c.amap.Bank(addr),
 	})
 	c.schedule()
 	return true
@@ -212,7 +213,7 @@ func (c *Controller) EnqueueFillRead(addr uint64) {
 		return
 	}
 	c.fillq = append(c.fillq, &ReadRequest{
-		Addr: c.amap.LineAddr(addr), enqueued: c.eng.Now(),
+		Addr: c.amap.LineAddr(addr), enqueued: c.eng.Now(), bank: c.amap.Bank(addr),
 	})
 	c.schedule()
 }
@@ -228,6 +229,7 @@ func (c *Controller) TryEnqueueWrite(addr uint64, data []byte) bool {
 	}
 	req := &WriteRequest{
 		Addr: c.amap.LineAddr(addr), Data: data, enqueued: c.eng.Now(),
+		bank: c.amap.Bank(addr),
 	}
 	c.wrq = append(c.wrq, req)
 	if len(c.wrq) >= c.cfg.WriteQueueEntries {
@@ -368,7 +370,7 @@ func (c *Controller) resumeOrphanedPauses() {
 // hasDemandReadFor reports whether any queued demand read targets the bank.
 func (c *Controller) hasDemandReadFor(bank int) bool {
 	for _, req := range c.rdq {
-		if c.amap.Bank(req.Addr) == bank {
+		if req.bank == bank {
 			return true
 		}
 	}
@@ -380,7 +382,7 @@ func (c *Controller) hasDemandReadFor(bank int) bool {
 func (c *Controller) issueReads() {
 	for i := 0; i < len(c.rdq); {
 		req := c.rdq[i]
-		bank := c.amap.Bank(req.Addr)
+		bank := req.bank
 		b := &c.banks[bank]
 		switch {
 		case !b.busy && !b.readBusy:
@@ -431,7 +433,7 @@ func (c *Controller) issueWrites() {
 	powerOOO := c.cfg.WriteQueueSched >= 0
 	for i := 0; i < len(c.wrq) && scanned < window; {
 		req := c.wrq[i]
-		bank := c.amap.Bank(req.Addr)
+		bank := req.bank
 		b := &c.banks[bank]
 		if b.busy || b.readBusy || b.wr != nil {
 			i++
@@ -461,7 +463,7 @@ func (c *Controller) issueWrites() {
 func (c *Controller) issueFills() {
 	for i := 0; i < len(c.fillq); {
 		req := c.fillq[i]
-		bank := c.amap.Bank(req.Addr)
+		bank := req.bank
 		b := &c.banks[bank]
 		if b.busy || b.readBusy || b.wr != nil {
 			i++
@@ -713,9 +715,13 @@ func (c *Controller) cancelWrite(op *writeOp) {
 	// rotation changed before the retry, the rebuild is skipped — a
 	// rebuild under unchanged tags would be bit-identical anyway. The
 	// plan went back to the pool with the ticket; the re-issue replans
-	// into the request's (empty) plan set.
+	// into the request's (empty) plan set. The request goes back in at
+	// the head in place: the queue's backing array has room once it has
+	// held this many entries, so the requeue allocates nothing.
 	op.prof = nil
-	c.wrq = append([]*WriteRequest{op.req}, c.wrq...)
+	c.wrq = append(c.wrq, nil)
+	copy(c.wrq[1:], c.wrq)
+	c.wrq[0] = op.req
 }
 
 // completeWrite commits the new content and frees the bank.

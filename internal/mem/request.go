@@ -14,6 +14,7 @@ type ReadRequest struct {
 	Demand   bool
 	Done     func() // invoked when data reaches the requester; may be nil
 	enqueued sim.Cycle
+	bank     int // AddressMap.Bank(Addr), looked up once at enqueue
 }
 
 // WriteRequest is a dirty line writeback to PCM, carrying the new content.
@@ -21,6 +22,7 @@ type WriteRequest struct {
 	Addr     uint64 // line-aligned
 	Data     []byte
 	enqueued sim.Cycle
+	bank     int // AddressMap.Bank(Addr), looked up once at enqueue
 	// cancelled counts how many times write cancellation restarted this
 	// request (telemetry; the paper's WC re-executes writes in full).
 	cancelled int

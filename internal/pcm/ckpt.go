@@ -28,7 +28,7 @@ func (s *Store) SaveState(w *ckpt.Writer) {
 		p := s.pages[idx]
 		w.U64(idx)
 		w.U64s(p.written)
-		for slot := 0; slot < pageLines; slot++ {
+		for slot := 0; slot < PageLines; slot++ {
 			if p.written[slot/64]&(1<<(slot%64)) != 0 {
 				w.Bytes(p.data[slot*s.lineBytes : (slot+1)*s.lineBytes])
 			}
@@ -57,14 +57,14 @@ func (s *Store) RestoreState(r *ckpt.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if len(written) != pageLines/64 {
+		if len(written) != PageLines/64 {
 			return fmt.Errorf("pcm: page %d has wrong bitmap shape (%d words)", idx, len(written))
 		}
 		p := &storePage{
-			data:    make([]byte, pageLines*s.lineBytes),
+			data:    make([]byte, PageLines*s.lineBytes),
 			written: written,
 		}
-		for slot := 0; slot < pageLines; slot++ {
+		for slot := 0; slot < PageLines; slot++ {
 			if written[slot/64]&(1<<(slot%64)) == 0 {
 				continue
 			}

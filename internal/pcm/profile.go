@@ -16,6 +16,10 @@ const MaxMultiResetSplit = 4
 // extra per-write hardware state is needed.
 const mrGroupGranularity = 4
 
+// BuildFromCells unrolls the group counts for m = 2, 3, 4; this constant
+// fails to compile if MaxMultiResetSplit moves off 4.
+const _ = uint(MaxMultiResetSplit-4) + uint(4-MaxMultiResetSplit)
+
 // WriteProfile captures everything the power budgeter and timing model need
 // to know about one MLC line write, computed once when the bridge chip does
 // its read-before-write comparison:
@@ -165,16 +169,24 @@ func contentHash(lineAddr uint64, old, new []byte) uint64 {
 // known. targets supplies the new cell states (indexed by cell); it may be
 // nil, in which case states are drawn uniformly (used by synthetic
 // stress tests).
+//
+// The build is O(cells + iterations*chips): each cell is counted once, in
+// the row of the last iteration it is unfinished after, and a suffix sum
+// down the rows then yields every RemainPerChip and RemainTotal entry.
+// Rows are sized by the largest iteration actually drawn, never by
+// IterMax, which has no upper bound.
 func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellState, mapFn mapping.Func, truncate bool) *WriteProfile {
+	chips := b.cfg.Chips
 	p := b.newProfile()
 	p.LineAddr = lineAddr
 	p.Changed = len(cells)
 	p.Truncated = 0
-	p.PerChip = resizeInts(p.PerChip, b.cfg.Chips)
-	maxIters := b.cfg.IterMax
+	p.PerChip = resizeInts(p.PerChip, chips)
+	p.resetMRGroups(chips)
 	b.iterOf = resizeInts(b.iterOf, len(cells))
 	b.chipOf = resizeInts(b.chipOf, len(cells))
 	iterOf, chipOf := b.iterOf, b.chipOf
+	mr2, mr3, mr4 := p.MRGroups[2], p.MRGroups[3], p.MRGroups[4]
 	total := 1
 	for i, cell := range cells {
 		var target CellState
@@ -188,12 +200,18 @@ func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellSta
 		chip := mapFn(cell)
 		chipOf[i] = chip
 		p.PerChip[chip]++
+		// Multi-RESET static groups: (cell/granularity) mod m, for
+		// m = 2..MaxMultiResetSplit (see the check by mrGroupGranularity).
+		q := cell / mrGroupGranularity
+		mr2[chip][q%2]++
+		mr3[chip][q%3]++
+		mr4[chip][q%4]++
 		if t > total {
 			total = t
 		}
 	}
-	if total > maxIters {
-		total = maxIters
+	if total > b.cfg.IterMax {
+		total = b.cfg.IterMax
 	}
 	p.TotalIters = total
 	p.RemainTotal = resizeInts(p.RemainTotal, total+1)
@@ -205,46 +223,57 @@ func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellSta
 		p.RemainPerChip = p.RemainPerChip[:total+1]
 	}
 	for k := range p.RemainPerChip {
-		p.RemainPerChip[k] = resizeInts(p.RemainPerChip[k], b.cfg.Chips)
+		p.RemainPerChip[k] = resizeInts(p.RemainPerChip[k], chips)
 	}
-	for i := range cells {
-		t := iterOf[i]
-		// The cell is unfinished after iterations 0..t-1.
-		for k := 0; k < t && k <= total; k++ {
-			p.RemainTotal[k]++
-			p.RemainPerChip[k][chipOf[i]]++
+	// A cell drawing t iterations is unfinished after iterations 0..t-1
+	// (clamped to the last row): count it in row min(t-1, total) only.
+	// Draw never returns fewer than one iteration.
+	for i, t := range iterOf {
+		last := t - 1
+		if last > total {
+			last = total
 		}
+		p.RemainPerChip[last][chipOf[i]]++
 	}
-
-	// Multi-RESET static groups (reuse the [m][chip][group] shape across
-	// pooled profiles: the chip count is fixed per Builder).
-	if p.MRGroups == nil {
-		p.MRGroups = make([][][]int, MaxMultiResetSplit+1)
-		for m := 2; m <= MaxMultiResetSplit; m++ {
-			g := make([][]int, b.cfg.Chips)
-			for c := range g {
-				g[c] = make([]int, m)
-			}
-			p.MRGroups[m] = g
-		}
-	} else {
-		for m := 2; m <= MaxMultiResetSplit; m++ {
-			for _, counts := range p.MRGroups[m] {
-				clear(counts)
-			}
-		}
+	for _, v := range p.RemainPerChip[total] {
+		p.RemainTotal[total] += v
 	}
-	for m := 2; m <= MaxMultiResetSplit; m++ {
-		g := p.MRGroups[m]
-		for i, cell := range cells {
-			g[chipOf[i]][(cell/mrGroupGranularity)%m]++
+	for k := total - 1; k >= 0; k-- {
+		row, below := p.RemainPerChip[k], p.RemainPerChip[k+1]
+		n := 0
+		for c := range row {
+			row[c] += below[c]
+			n += row[c]
 		}
+		p.RemainTotal[k] = n
 	}
 
 	if truncate && b.cfg.TruncateTailCells > 0 {
 		p.applyTruncation(b.cfg.TruncateTailCells)
 	}
 	return p
+}
+
+// resetMRGroups zeroes the Multi-RESET group counts, allocating the
+// [m][chip][group] shape on first use; pooled profiles reuse it, since the
+// chip count is fixed per Builder.
+func (p *WriteProfile) resetMRGroups(chips int) {
+	if p.MRGroups == nil {
+		p.MRGroups = make([][][]int, MaxMultiResetSplit+1)
+		for m := 2; m <= MaxMultiResetSplit; m++ {
+			g := make([][]int, chips)
+			for c := range g {
+				g[c] = make([]int, m)
+			}
+			p.MRGroups[m] = g
+		}
+		return
+	}
+	for m := 2; m <= MaxMultiResetSplit; m++ {
+		for _, counts := range p.MRGroups[m] {
+			clear(counts)
+		}
+	}
 }
 
 // buildFromCells is Build's shared tail; cells index into the line, and new

@@ -1,14 +1,15 @@
 package pcm
 
-// pageLines is the number of lines per store page. With the default 256-byte
+// PageLines is the number of lines per store page. With the default 256-byte
 // line a page is 128 KB of content — big enough to amortize page lookups
 // over the streaming regions, small enough that sparse address use does not
-// balloon memory.
-const pageLines = 512
+// balloon memory. A line write materializes its whole page, so the page,
+// not the line, is the store's unit of memory.
+const PageLines = 512
 
-// storePage is one lazily materialized span of pageLines consecutive lines.
+// storePage is one lazily materialized span of PageLines consecutive lines.
 type storePage struct {
-	data    []byte   // pageLines * lineBytes
+	data    []byte   // PageLines * lineBytes
 	written []uint64 // one bit per line: has it ever been written?
 }
 
@@ -55,8 +56,8 @@ func (s *Store) materialize(pageIdx uint64) *storePage {
 		return p
 	}
 	p := &storePage{
-		data:    make([]byte, pageLines*s.lineBytes),
-		written: make([]uint64, pageLines/64),
+		data:    make([]byte, PageLines*s.lineBytes),
+		written: make([]uint64, PageLines/64),
 	}
 	s.pages[pageIdx] = p
 	s.lastIdx, s.lastPage = pageIdx, p
@@ -69,11 +70,11 @@ func (s *Store) materialize(pageIdx uint64) *storePage {
 // mutate it — build with the fpbdebug tag to enforce this.
 func (s *Store) Get(lineAddr uint64) []byte {
 	lineNo := lineAddr / uint64(s.lineBytes)
-	p := s.lookup(lineNo / pageLines)
+	p := s.lookup(lineNo / PageLines)
 	if p == nil {
 		return nil
 	}
-	slot := lineNo % pageLines
+	slot := lineNo % PageLines
 	if p.written[slot/64]&(1<<(slot%64)) == 0 {
 		return nil
 	}
@@ -96,8 +97,8 @@ func (s *Store) Update(lineAddr uint64, data []byte) (fresh bool) {
 		panic("pcm: Put with wrong line size")
 	}
 	lineNo := lineAddr / uint64(s.lineBytes)
-	p := s.materialize(lineNo / pageLines)
-	slot := lineNo % pageLines
+	p := s.materialize(lineNo / PageLines)
+	slot := lineNo % PageLines
 	line := p.data[int(slot)*s.lineBytes : (int(slot)+1)*s.lineBytes]
 	s.guard.onPut(lineAddr, line)
 	copy(line, data)

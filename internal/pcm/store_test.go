@@ -66,9 +66,9 @@ func TestStoreNeighborsWithinPageStayNil(t *testing.T) {
 
 func TestStoreCrossPageLines(t *testing.T) {
 	s := NewStore(4)
-	// Two lines pageLines apart land on different pages.
+	// Two lines PageLines apart land on different pages.
 	a := uint64(0)
-	b := uint64(4 * pageLines)
+	b := uint64(4 * PageLines)
 	s.Put(a, []byte{1, 1, 1, 1})
 	s.Put(b, []byte{2, 2, 2, 2})
 	if s.Get(a)[0] != 1 || s.Get(b)[0] != 2 {

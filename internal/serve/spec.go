@@ -33,6 +33,7 @@ package serve
 import (
 	"fmt"
 
+	"fpb/internal/pcm"
 	"fpb/internal/sim"
 	"fpb/internal/system"
 )
@@ -105,28 +106,68 @@ func (s JobSpec) Resolve() (sim.Config, string, error) {
 	if err := cfg.Validate(); err != nil {
 		return sim.Config{}, "", fmt.Errorf("serve: job spec: %w", err)
 	}
-	if b := cacheMetadataBytes(&cfg); b > maxJobMetadataBytes {
-		return sim.Config{}, "", fmt.Errorf("serve: job spec: %d cores of L1/L2/L3 need %.3g GiB of cache metadata, above the %d GiB per-job limit",
-			cfg.Cores, b/(1<<30), maxJobMetadataBytes>>30)
+	if total, largest := jobMemory(&cfg); total > maxJobBytes {
+		return sim.Config{}, "", fmt.Errorf("serve: job spec: the simulation needs about %.3g GiB (%.3g GiB of it %s), above the %d GiB per-job limit",
+			total/(1<<30), largest.bytes/(1<<30), largest.name, maxJobBytes>>30)
 	}
 	return cfg, s.Workload, nil
 }
 
-// maxJobMetadataBytes bounds the cache metadata one job may make a worker
-// allocate, so a single request cannot exhaust the node's memory. The
-// largest paper configuration (Fig. 20's 128 MB LLC, 8 cores) needs about
-// 70 MB; this leaves room for every sweep point and some headroom.
-const maxJobMetadataBytes = 1 << 30
+// maxJobBytes bounds the memory one job may make a worker allocate, so a
+// single request cannot exhaust the node's memory. The largest paper
+// configuration (Fig. 20's 128 MB LLC, 8 cores) needs about 70 MB by
+// jobMemory's estimate; this leaves room for every sweep point and some
+// headroom.
+const maxJobBytes = 1 << 30
 
-// cacheMetadataBytes estimates the cache metadata cfg allocates: every
-// core's L1, L2 and L3 lines at 16 bytes of tag and LRU state each. It
-// computes in float64 so absurd sizes cannot overflow into a small value.
-func cacheMetadataBytes(cfg *sim.Config) float64 {
-	const bytesPerLine = 16
-	lines := float64(cfg.L1SizeKB)*(1<<10)/float64(cfg.L1LineB) +
+// memTerm is one part of a job's memory estimate.
+type memTerm struct {
+	name  string
+	bytes float64
+}
+
+// jobMemory estimates the memory a simulation of cfg allocates for the
+// structures whose size a config field sets directly, and returns the
+// total with its largest part:
+//
+//   - cache metadata: every core's L1, L2 and L3 lines at 16 bytes of tag
+//     and LRU state each;
+//   - bank state: one entry per PCM bank;
+//   - per-cell tables: the two cells/line chip-mapping tables and the
+//     profile builder's per-cell scratch;
+//   - write profiles: every queued or in-flight write holds a profile with
+//     at least 12 counts per chip (changed cells, two remaining-cell rows,
+//     and 2+3+4 Multi-RESET group counts);
+//   - PCM store pages: each core's first writeback materializes a whole
+//     page of pcm.PageLines lines.
+//
+// It computes in float64 so absurd sizes cannot overflow into a small
+// value.
+func jobMemory(cfg *sim.Config) (total float64, largest memTerm) {
+	const (
+		bytesPerCacheLine = 16
+		bytesPerBank      = 24            // mem's bankState
+		bytesPerCell      = 2*8 + 3*8 + 1 // two table entries; diff, iteration and chip scratch; target
+		bytesPerChip      = 12 * 8        // one profile's minimum counts per chip
+	)
+	cacheLines := float64(cfg.L1SizeKB)*(1<<10)/float64(cfg.L1LineB) +
 		float64(cfg.L2SizeKB)*(1<<10)/float64(cfg.L2LineB) +
 		float64(cfg.L3SizeMB)*(1<<20)/float64(cfg.L3LineB)
-	return float64(cfg.Cores) * lines * bytesPerLine
+	lineBytes := float64(cfg.L3LineB)
+	profiles := float64(cfg.WriteQueueEntries) + float64(cfg.Banks)
+	for _, t := range []memTerm{
+		{"cache metadata", float64(cfg.Cores) * cacheLines * bytesPerCacheLine},
+		{"bank state", float64(cfg.Banks) * bytesPerBank},
+		{"per-cell tables", lineBytes * 8 / float64(cfg.BitsPerCell) * bytesPerCell},
+		{"write profiles", profiles * float64(cfg.Chips) * bytesPerChip},
+		{"PCM store pages", float64(cfg.Cores) * pcm.PageLines * lineBytes},
+	} {
+		total += t.bytes
+		if t.bytes > largest.bytes {
+			largest = t
+		}
+	}
+	return total, largest
 }
 
 // JobState enumerates a job's lifecycle.

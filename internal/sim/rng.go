@@ -59,17 +59,26 @@ func (r *RNG) SetState(s [4]uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next is one xoshiro256** step on a state held in locals: it returns the
+// output and the advanced state. Uint64 and Normal share it, and Normal
+// keeps the state in registers across its 12 steps.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = next(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -121,11 +130,21 @@ func (r *RNG) Geometric(p float64) int {
 // Normal returns a sample from N(mean, stddev) via the Irwin–Hall
 // approximation (sum of 12 uniforms), which is plenty for the ±4σ range the
 // simulator uses and avoids math.Log in the hot path.
+//
+// The 12 steps run on a local copy of the state, written back once; the
+// draws, their sum order and the final state are exactly those of 12
+// Float64 calls.
 func (r *RNG) Normal(mean, stddev float64) float64 {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var u uint64
 	s := -6.0
 	for i := 0; i < 12; i++ {
-		s += r.Float64()
+		u, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		// Rounded exactly as Float64 rounds it; the explicit conversion
+		// also keeps the add from fusing into an FMA.
+		s += float64(float64(u>>11) / (1 << 53))
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return mean + stddev*s
 }
 

@@ -130,3 +130,27 @@ func TestRNGBernoulliExtremes(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalMatchesUniformSum: Normal is bit for bit mean + sd*(-6 + the
+// sum of 12 Float64 draws, added in order), and leaves the generator in
+// the state those 12 draws would.
+func TestNormalMatchesUniformSum(t *testing.T) {
+	params := [][2]float64{{8, 2.5}, {5, 1.5}, {0, 1}, {-3.25, 1e-3}}
+	for seed := uint64(0); seed < 10_000; seed++ {
+		r, twin := NewRNG(seed), NewRNG(seed)
+		for _, p := range params {
+			got := r.Normal(p[0], p[1])
+			s := -6.0
+			for i := 0; i < 12; i++ {
+				s += twin.Float64()
+			}
+			want := p[0] + p[1]*s
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d Normal(%g, %g) = %v, uniform sum gives %v", seed, p[0], p[1], got, want)
+			}
+		}
+		if a, b := r.Uint64(), twin.Uint64(); a != b {
+			t.Fatalf("seed %d: next Uint64 %#x after Normal, %#x after the uniform sum", seed, a, b)
+		}
+	}
+}

@@ -49,3 +49,28 @@ func BenchmarkCacheFillDistinct(b *testing.B) {
 		c.Release()
 	}
 }
+
+// BenchmarkHierarchyCloneRelease measures what a prefill snapshot hit costs
+// a simulation's setup and teardown at the Table 1 geometry: clone a
+// prefilled hierarchy, touch 64 sets through it, release it.
+func BenchmarkHierarchyCloneRelease(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	h := NewHierarchy(&cfg)
+	capLines := h.L3CapacityLines()
+	order := make([]int, 2*capLines)
+	sim.NewRNG(1).Perm(order)
+	lineB := uint64(cfg.L3LineB)
+	h.L3().FillDistinct(order, func(k int) (uint64, bool) { return uint64(k) * lineB, k%3 == 0 })
+	for addr := uint64(0); addr < 1<<20; addr += 64 { // a hot region through L1/L2
+		h.Access(addr, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := h.Clone(&cfg)
+		for s := uint64(0); s < 64; s++ {
+			c.Access(s*lineB, s%4 == 0)
+		}
+		c.Release()
+	}
+}

@@ -21,8 +21,8 @@ type Victim struct {
 // contiguous run of memory per set instead of gathering from parallel
 // slices. Access is the hottest function in the whole simulator (every
 // instruction of every core goes through up to three of these probes), and
-// prefilled hierarchies are snapshot-cloned wholesale, so the layout is
-// packed to 16 bytes: valid and dirty live in the low bits of the LRU word.
+// clones copy metadata a set at a time, so the layout is packed to 16
+// bytes: valid and dirty live in the low bits of the LRU word.
 type way struct {
 	tag  uint64 // line index
 	meta uint64 // LRU tick << 2 | dirty << 1 | valid
@@ -35,18 +35,26 @@ const (
 )
 
 // Cache is one set-associative write-back, write-allocate cache level.
+// The fields Access reads come first, so they share as few CPU cache lines
+// as possible.
 type Cache struct {
-	lineB     int
-	lineShift uint // log2(lineB) when lineB is a power of two
-	linePow2  bool
-	ways      int
-	sets      int
-	setMask   uint64 // sets-1 when sets is a power of two (the common case)
-	setPow2   bool
-	meta      []way // sets*ways, set-major
+	meta []way // sets*ways, set-major; a clone's uncopied sets hold stale data
+	// base is the read-only array a clone reads its uncopied sets from: the
+	// array of the cache it was cloned from. It is nil for a cache that owns
+	// all of its state. copied has one bit per set; once set s's bit is on,
+	// meta holds that set and base is no longer read for it.
+	base      []way
 	tick      uint64
 	hits      uint64
 	misses    uint64
+	setMask   uint64 // sets-1 when sets is a power of two (the common case)
+	lineShift uint   // log2(lineB) when lineB is a power of two
+	ways      int
+	lineB     int
+	linePow2  bool
+	setPow2   bool
+	sets      int
+	copied    []uint64
 }
 
 // metaPools recycles way arrays by length. A full figure sweep builds
@@ -100,26 +108,84 @@ func (c *Cache) LineBytes() int { return c.lineB }
 // Stats reports accumulated demand hits and misses.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// Clone returns an independent deep copy — same tags, dirty bits, LRU state
-// and statistics. Used to snapshot prefilled hierarchies.
+// Clone returns a copy-on-write clone: same tags, dirty bits, LRU state
+// and statistics. The clone reads through to c's metadata and copies a set
+// into its own array the first time it changes that set, so cloning costs
+// one bit per set, not a copy of the metadata. A cache that owns its state
+// lends its array to the clone as the clone's base: it must neither change
+// nor be released while any clone of it is in use (the prefill snapshots
+// in internal/system never change). A clone of a clone shares that base
+// and copies the sets the first clone already owns, so both stay free to
+// change.
 func (c *Cache) Clone() *Cache {
 	cp := *c
 	cp.meta = newMeta(len(c.meta), false)
-	copy(cp.meta, c.meta)
+	cp.copied = make([]uint64, (c.sets+63)/64)
+	if c.base == nil {
+		cp.base = c.meta
+		return &cp
+	}
+	copy(cp.copied, c.copied)
+	for s := 0; s < c.sets; s++ {
+		if c.owns(s) {
+			lo := s * c.ways
+			copy(cp.meta[lo:lo+c.ways], c.meta[lo:lo+c.ways])
+		}
+	}
 	return &cp
 }
 
 // Release returns the cache's metadata array to the pool. The cache must
 // not be used afterwards; callers release only when they own the last
-// reference (e.g. a finished simulation tearing down).
+// reference (e.g. a finished simulation tearing down). A clone releases
+// only its own array, never its base.
 func (c *Cache) Release() {
 	if c.meta == nil {
 		return
 	}
 	p, _ := metaPools.LoadOrStore(len(c.meta), &sync.Pool{})
 	m := c.meta
-	c.meta = nil
+	c.meta, c.base, c.copied = nil, nil, nil
 	p.(*sync.Pool).Put(m)
+}
+
+// owns reports whether a clone's set s has been copied into meta.
+func (c *Cache) owns(s int) bool {
+	return c.copied[uint(s)>>6]&(1<<(uint(s)&63)) != 0
+}
+
+// own makes a clone's set s writable by copying it from base. Callers test
+// owns first; keeping the copy out of line keeps Access's probe loop tight.
+//
+//go:noinline
+func (c *Cache) own(s int) {
+	c.copied[uint(s)>>6] |= 1 << (uint(s) & 63)
+	lo := s * c.ways
+	copy(c.meta[lo:lo+c.ways], c.base[lo:lo+c.ways])
+}
+
+// view returns set s's ways for reading, without copying a clone's set.
+func (c *Cache) view(s int) []way {
+	m := c.meta
+	if c.base != nil && !c.owns(s) {
+		m = c.base
+	}
+	lo := s * c.ways
+	return m[lo : lo+c.ways]
+}
+
+// Checksum hashes the cache's metadata and LRU clock, reading a clone's
+// uncopied sets through its base. Debug builds use it to prove that a
+// shared base never changes.
+func (c *Cache) Checksum() uint64 {
+	h := uint64(0xcbf29ce484222325) ^ c.tick
+	for s := 0; s < c.sets; s++ {
+		for _, w := range c.view(s) {
+			h = (h ^ w.tag) * 0x100000001b3
+			h = (h ^ w.meta) * 0x100000001b3
+		}
+	}
+	return h
 }
 
 func (c *Cache) lineIndex(addr uint64) uint64 {
@@ -142,8 +208,12 @@ func (c *Cache) set(lineIdx uint64) int {
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicted bool) {
 	lineIdx := c.lineIndex(addr)
 	c.tick++
-	base := c.set(lineIdx) * c.ways
-	set := c.meta[base : base+c.ways]
+	s := c.set(lineIdx)
+	if c.base != nil && !c.owns(s) {
+		c.own(s)
+	}
+	lo := s * c.ways
+	set := c.meta[lo : lo+c.ways]
 	var lruWay, invalidWay = -1, -1
 	var lruTick uint64 = ^uint64(0)
 	for w := range set {
@@ -199,8 +269,8 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicte
 // survivors, youngest first (each one way up from the next younger,
 // cyclically), stopping as soon as every set has all of them.
 func (c *Cache) FillDistinct(order []int, line func(k int) (addr uint64, write bool)) {
-	if c.tick != 0 {
-		panic("cache: FillDistinct on a cache that has been accessed")
+	if c.tick != 0 || c.base != nil {
+		panic("cache: FillDistinct on a cache that has been accessed or cloned")
 	}
 	type fillSet struct{ left, way int32 } // survivors still to write; the way the next one lands in
 	sets := make([]fillSet, c.sets)
@@ -243,8 +313,7 @@ func (c *Cache) FillDistinct(order []int, line func(k int) (addr uint64, write b
 // Contains reports whether the line holding addr is cached (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
 	lineIdx := c.lineIndex(addr)
-	base := c.set(lineIdx) * c.ways
-	set := c.meta[base : base+c.ways]
+	set := c.view(c.set(lineIdx))
 	for w := range set {
 		if set[w].meta&wayValid != 0 && set[w].tag == lineIdx {
 			return true
@@ -256,8 +325,7 @@ func (c *Cache) Contains(addr uint64) bool {
 // IsDirty reports whether the line holding addr is cached dirty.
 func (c *Cache) IsDirty(addr uint64) bool {
 	lineIdx := c.lineIndex(addr)
-	base := c.set(lineIdx) * c.ways
-	set := c.meta[base : base+c.ways]
+	set := c.view(c.set(lineIdx))
 	for w := range set {
 		if set[w].meta&wayValid != 0 && set[w].tag == lineIdx {
 			return set[w].meta&wayDirty != 0

@@ -20,8 +20,9 @@ import (
 // hold that identical baseline (both sides derive it from the deterministic
 // prefill, see internal/system).
 func (c *Cache) SaveDelta(w *ckpt.Writer, base *Cache) {
-	if len(base.meta) != len(c.meta) {
-		panic(fmt.Sprintf("cache: delta baseline has %d ways, cache has %d", len(base.meta), len(c.meta)))
+	if base.sets != c.sets || base.ways != c.ways {
+		panic(fmt.Sprintf("cache: delta baseline has %dx%d ways, cache has %dx%d",
+			base.sets, base.ways, c.sets, c.ways))
 	}
 	w.Section("cache")
 	w.U64(uint64(c.lineB))
@@ -29,17 +30,29 @@ func (c *Cache) SaveDelta(w *ckpt.Writer, base *Cache) {
 	w.U64(uint64(c.sets))
 	w.U64(c.tick)
 	n := uint64(0)
-	for i := range c.meta {
-		if c.meta[i] != base.meta[i] {
-			n++
-		}
-	}
+	c.diff(base, func(int, way) { n++ })
 	w.U64(n)
-	for i := range c.meta {
-		if c.meta[i] != base.meta[i] {
-			w.U64(uint64(i))
-			w.U64(c.meta[i].tag)
-			w.U64(c.meta[i].meta)
+	c.diff(base, func(i int, m way) {
+		w.U64(uint64(i))
+		w.U64(m.tag)
+		w.U64(m.meta)
+	})
+}
+
+// diff calls fn, in index order, for every way whose metadata differs from
+// base's. A clone of base itself skips its uncopied sets: they read
+// through to base, so they cannot differ.
+func (c *Cache) diff(base *Cache, fn func(i int, m way)) {
+	shared := c.base != nil && base.base == nil && &c.base[0] == &base.meta[0]
+	for s := 0; s < c.sets; s++ {
+		if shared && !c.owns(s) {
+			continue
+		}
+		cs, bs := c.view(s), base.view(s)
+		for j := range cs {
+			if cs[j] != bs[j] {
+				fn(s*c.ways+j, cs[j])
+			}
 		}
 	}
 }
@@ -69,6 +82,9 @@ func (c *Cache) RestoreDelta(r *ckpt.Reader) error {
 		}
 		if i >= uint64(len(c.meta)) {
 			return fmt.Errorf("cache: delta way index %d out of range (%d ways)", i, len(c.meta))
+		}
+		if s := int(i) / c.ways; c.base != nil && !c.owns(s) {
+			c.own(s)
 		}
 		c.meta[i].tag = r.U64()
 		c.meta[i].meta = r.U64()

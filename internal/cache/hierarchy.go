@@ -49,11 +49,13 @@ func NewHierarchy(cfg *sim.Config) *Hierarchy {
 	}
 }
 
-// Clone returns an independent deep copy of the hierarchy bound to cfg
-// (pass the original's Cfg to keep sharing it). Used by the workload
-// harness to snapshot a prefilled hierarchy once and stamp out copies for
-// every scheme instead of re-running the prefill (hundreds of thousands of
-// L3 inserts, then the hot-region warm-up) per scheme.
+// Clone returns a copy-on-write clone of the hierarchy bound to cfg (pass
+// the original's Cfg to keep sharing it); see Cache.Clone for the rules.
+// Used by the workload harness to prefill a hierarchy once and stamp out
+// clones for every scheme instead of re-running the prefill (hundreds of
+// thousands of L3 inserts, then the hot-region warm-up) per scheme. A
+// clone costs a bit per set up front and then one set copy per set the
+// run touches, a few percent of the L3.
 func (h *Hierarchy) Clone(cfg *sim.Config) *Hierarchy {
 	return &Hierarchy{
 		l1:  h.l1.Clone(),

@@ -67,3 +67,19 @@ func BenchmarkIterModelDraw(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreScatteredUpdate measures a fresh store taking 64 first
+// writes spaced PageLines apart, the scattered writeback shape of a short
+// run over a large footprint.
+func BenchmarkStoreScatteredUpdate(b *testing.B) {
+	const lineB = 256
+	line := make([]byte, lineB)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewStore(lineB)
+		for k := uint64(0); k < 64; k++ {
+			line[0] = byte(k)
+			s.Update(k*PageLines*lineB, line)
+		}
+	}
+}

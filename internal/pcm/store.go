@@ -1,67 +1,44 @@
 package pcm
 
-// PageLines is the number of lines per store page. With the default 256-byte
-// line a page is 128 KB of content — big enough to amortize page lookups
-// over the streaming regions, small enough that sparse address use does not
-// balloon memory. A line write materializes its whole page, so the page,
-// not the line, is the store's unit of memory.
+// SlabLines is the number of lines per storage slab. Lines are carved from
+// slabs in first-write order, whatever their addresses, so a store's
+// memory is O(lines written): a short run's few hundred scattered
+// writebacks fill a few hundred lines, not a page per address region.
+// With the default 256-byte line a slab is 4 KB, which is also the
+// smallest a store that has taken any write allocates for content.
+const SlabLines = 16
+
+// PageLines is the number of lines the checkpoint image groups under one
+// written-line bitmap (see SaveState). It is part of the image format, not
+// of the store's layout.
 const PageLines = 512
 
-// storePage is one lazily materialized span of PageLines consecutive lines.
-type storePage struct {
-	data    []byte   // PageLines * lineBytes
-	written []uint64 // one bit per line: has it ever been written?
-}
-
-// Store is the content store for PCM main memory, a paged flat array: lines
-// live in fixed-size pages materialized on first write to their span.
-// Untouched lines read as nil (all zeros), matching the paper's Fig. 3
+// Store is the content store for PCM main memory: every written line owns
+// one slot of lineBytes bytes in a slab, found through a line-number index.
+// Unwritten lines read as nil (all zeros), matching the paper's Fig. 3
 // assumption that memory initially contains 0s.
 type Store struct {
 	lineBytes int
-	pages     map[uint64]*storePage
-	lastIdx   uint64 // single-entry page lookup cache
-	lastPage  *storePage
-	count     int // lines ever written
+	slot      map[uint64]int // line number -> slot; slot k lives in slabs[k/SlabLines]
+	slabs     [][]byte       // SlabLines*lineBytes each
 	guard     storeGuard
 }
 
 // NewStore creates a store for lines of lineBytes bytes.
 func NewStore(lineBytes int) *Store {
-	return &Store{lineBytes: lineBytes, pages: make(map[uint64]*storePage), lastIdx: ^uint64(0)}
+	return &Store{lineBytes: lineBytes, slot: make(map[uint64]int)}
 }
 
 // LineBytes reports the line size.
 func (s *Store) LineBytes() int { return s.lineBytes }
 
 // Len reports how many distinct lines have been written.
-func (s *Store) Len() int { return s.count }
+func (s *Store) Len() int { return len(s.slot) }
 
-// lookup returns the page holding lineNo, or nil if it was never
-// materialized.
-func (s *Store) lookup(pageIdx uint64) *storePage {
-	if pageIdx == s.lastIdx {
-		return s.lastPage
-	}
-	p := s.pages[pageIdx]
-	if p != nil {
-		s.lastIdx, s.lastPage = pageIdx, p
-	}
-	return p
-}
-
-// materialize returns the page holding lineNo, creating it if needed.
-func (s *Store) materialize(pageIdx uint64) *storePage {
-	if p := s.lookup(pageIdx); p != nil {
-		return p
-	}
-	p := &storePage{
-		data:    make([]byte, PageLines*s.lineBytes),
-		written: make([]uint64, PageLines/64),
-	}
-	s.pages[pageIdx] = p
-	s.lastIdx, s.lastPage = pageIdx, p
-	return p
+// line returns slot k's storage.
+func (s *Store) line(k int) []byte {
+	off := k % SlabLines * s.lineBytes
+	return s.slabs[k/SlabLines][off : off+s.lineBytes : off+s.lineBytes]
 }
 
 // Get returns the current content of the line at lineAddr, or nil if the
@@ -69,16 +46,11 @@ func (s *Store) materialize(pageIdx uint64) *storePage {
 // into the store, valid until the line is next written; callers must not
 // mutate it — build with the fpbdebug tag to enforce this.
 func (s *Store) Get(lineAddr uint64) []byte {
-	lineNo := lineAddr / uint64(s.lineBytes)
-	p := s.lookup(lineNo / PageLines)
-	if p == nil {
+	k, ok := s.slot[lineAddr/uint64(s.lineBytes)]
+	if !ok {
 		return nil
 	}
-	slot := lineNo % PageLines
-	if p.written[slot/64]&(1<<(slot%64)) == 0 {
-		return nil
-	}
-	line := p.data[int(slot)*s.lineBytes : (int(slot)+1)*s.lineBytes : (int(slot)+1)*s.lineBytes]
+	line := s.line(k)
 	s.guard.onGet(lineAddr, line)
 	return line
 }
@@ -97,15 +69,16 @@ func (s *Store) Update(lineAddr uint64, data []byte) (fresh bool) {
 		panic("pcm: Put with wrong line size")
 	}
 	lineNo := lineAddr / uint64(s.lineBytes)
-	p := s.materialize(lineNo / PageLines)
-	slot := lineNo % PageLines
-	line := p.data[int(slot)*s.lineBytes : (int(slot)+1)*s.lineBytes]
+	k, ok := s.slot[lineNo]
+	if !ok {
+		k = len(s.slot)
+		if k%SlabLines == 0 {
+			s.slabs = append(s.slabs, make([]byte, SlabLines*s.lineBytes))
+		}
+		s.slot[lineNo] = k
+	}
+	line := s.line(k)
 	s.guard.onPut(lineAddr, line)
 	copy(line, data)
-	if p.written[slot/64]&(1<<(slot%64)) == 0 {
-		p.written[slot/64] |= 1 << (slot % 64)
-		s.count++
-		return true
-	}
-	return false
+	return !ok
 }

@@ -5,7 +5,7 @@ package pcm
 import "fmt"
 
 // storeGuard (fpbdebug builds) catches the Get-view aliasing footgun: Get
-// returns a view into the store's page memory, so a caller scribbling on it
+// returns a view into the store's slab memory, so a caller scribbling on it
 // would silently corrupt stored content — with the line pool this shows up
 // far from the bug, as wrong diff profiles on a later write. The guard
 // fingerprints every view Get hands out and re-checks it the next time the

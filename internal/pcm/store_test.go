@@ -88,3 +88,19 @@ func TestStorePutWrongSizePanics(t *testing.T) {
 	}()
 	s.Put(0, []byte{1})
 }
+
+// TestStoreGetViewCannotReachNeighbor: lines share slabs, so a Get view is
+// capped at its own line — appending to it must reallocate, never spill
+// into the next line's storage.
+func TestStoreGetViewCannotReachNeighbor(t *testing.T) {
+	s := NewStore(2)
+	s.Put(0, []byte{1, 1})
+	s.Put(2, []byte{2, 2})
+	if v := s.Get(0); cap(v) != 2 {
+		t.Fatalf("Get view has capacity %d, want the line size 2", cap(v))
+	}
+	_ = append(s.Get(0), 9)
+	if got := s.Get(2); got[0] != 2 {
+		t.Errorf("append to a Get view overwrote the next line: %v", got)
+	}
+}

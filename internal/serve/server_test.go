@@ -460,7 +460,7 @@ func TestBadCacheGeometryRejected(t *testing.T) {
 		{"huge core count", func(c *sim.Config) { c.Cores = 1 << 30 }},
 		{"huge bank count", func(c *sim.Config) { c.Banks = 1 << 40 }},
 		// One 1 GiB line per one-way L3: tiny cache metadata, but a
-		// 512-line store page is 512 GiB and each mapping table 64 GiB.
+		// 16-line store slab is 16 GiB and each mapping table 64 GiB.
 		{"huge L3 line", func(c *sim.Config) { c.L3LineB, c.L3SizeMB, c.L3Ways = 1<<30, 1<<10, 1 }},
 	} {
 		cfg := sim.DefaultConfig()

@@ -138,8 +138,9 @@ type memTerm struct {
 //   - write profiles: every queued or in-flight write holds a profile with
 //     at least 12 counts per chip (changed cells, two remaining-cell rows,
 //     and 2+3+4 Multi-RESET group counts);
-//   - PCM store pages: each core's first writeback materializes a whole
-//     page of pcm.PageLines lines.
+//   - PCM store slab: the store's first writeback allocates one slab of
+//     pcm.SlabLines lines; later slabs grow with the lines written, which
+//     the instruction budget, not a config field, sets.
 //
 // It computes in float64 so absurd sizes cannot overflow into a small
 // value.
@@ -160,7 +161,7 @@ func jobMemory(cfg *sim.Config) (total float64, largest memTerm) {
 		{"bank state", float64(cfg.Banks) * bytesPerBank},
 		{"per-cell tables", lineBytes * 8 / float64(cfg.BitsPerCell) * bytesPerCell},
 		{"write profiles", profiles * float64(cfg.Chips) * bytesPerChip},
-		{"PCM store pages", float64(cfg.Cores) * pcm.PageLines * lineBytes},
+		{"PCM store slab", pcm.SlabLines * lineBytes},
 	} {
 		total += t.bytes
 		if t.bytes > largest.bytes {

@@ -57,14 +57,16 @@ func BenchmarkPrefillCold(b *testing.B) {
 }
 
 // BenchmarkPrefillSnapshotHit measures the snapshot-cache hit path: one
-// clone of an already prefilled hierarchy.
+// clone of an already prefilled hierarchy, released again as a finished
+// simulation releases it.
 func BenchmarkPrefillSnapshotHit(b *testing.B) {
 	cfg, gen, prof := prefillCore(b)
 	prefilledHierarchy(cfg, gen, prof) // populate the snapshot
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prefilledHierarchy(cfg, gen, prof)
+		h, _ := prefilledHierarchy(cfg, gen, prof)
+		h.Release()
 	}
 }
 

@@ -181,9 +181,10 @@ func build(cfg sim.Config, wl workload.Workload, restored bool) (*System, error)
 // functions of), the profile's access-mix rates, and the full cache
 // geometry. Two cores with equal keys get byte-identical prefilled
 // hierarchies, so the result can be snapshotted and cloned instead of
-// re-running the warm-up once per (workload, scheme) pair: a cold prefill
-// costs about 20x a clone (BenchmarkPrefillCold vs
-// BenchmarkPrefillSnapshotHit).
+// re-running the warm-up once per (workload, scheme) pair. A clone is
+// copy-on-write, so a hit costs thousands of times less than a cold
+// prefill (BenchmarkPrefillSnapshotHit vs BenchmarkPrefillCold); the run
+// then pays one set copy per set it touches.
 type prefillKey struct {
 	rStart, wStart, span uint64
 	rCur, wCur           uint64
@@ -194,9 +195,9 @@ type prefillKey struct {
 	l3MB, l3Line, l3Ways int
 }
 
-// maxPrefillSnapshots bounds the snapshot cache. Each snapshot holds deep
-// copies of one core's cache metadata (2.63 MB at the default 32 MB L3, as
-// BenchmarkPrefillSnapshotHit measures), so the bound caps the cache near
+// maxPrefillSnapshots bounds the snapshot cache. Each snapshot holds one
+// core's full prefilled cache metadata (2.63 MB at the default 32 MB L3),
+// which its clones read through to, so the bound caps the cache near
 // 340 MB — sized to hold every distinct (profile, core-slot) pair of a full
 // figure sweep at the default geometry without evicting.
 const maxPrefillSnapshots = 128
@@ -207,17 +208,23 @@ var prefillSnapshots struct {
 	stamp uint64
 }
 
+// prefillSnapshot is one cached prefill. hier is never written after it is
+// cached: every System gets a copy-on-write clone of it, and it is each of
+// those Systems' checkpoint delta baseline. fpbdebug builds verify that on
+// every hit (snapshotGuard).
 type prefillSnapshot struct {
-	hier *cache.Hierarchy
-	used uint64
+	hier  *cache.Hierarchy
+	used  uint64
+	guard snapshotGuard
 }
 
-// prefilledHierarchy returns a freshly prefilled hierarchy for the core,
-// serving it from the snapshot cache when an identical warm-up has already
-// run (the usual case: every scheme of a figure re-simulates the same
-// workloads). Cached or computed, the returned hierarchy is bit-identical —
-// prefill is a pure function of prefillKey — and exclusively owned by the
-// caller.
+// prefilledHierarchy returns a freshly prefilled hierarchy for the core and
+// the snapshot it reads through to, serving it from the snapshot cache when
+// an identical warm-up has already run (the usual case: every scheme of a
+// figure re-simulates the same workloads). Cached or computed, the returned
+// hierarchy is bit-identical — prefill is a pure function of prefillKey —
+// and exclusively owned by the caller; base is the shared, read-only
+// snapshot it was cloned from.
 func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) (owned, base *cache.Hierarchy) {
 	rStart, _ := gen.StreamReadRegion()
 	wStart, _ := gen.StreamWriteRegion()
@@ -233,17 +240,27 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 	}
 	c := &prefillSnapshots
 	c.Lock()
-	if e, ok := c.m[k]; ok {
+	e, ok := c.m[k]
+	if ok {
 		c.stamp++
 		e.used = c.stamp
-		h := e.hier.Clone(cfg)
-		c.Unlock()
-		return h, e.hier
 	}
 	c.Unlock()
+	if ok {
+		// An evicted snapshot stays intact for whoever still holds it, so
+		// the clone needs no lock.
+		e.guard.check(k, e.hier)
+		return e.hier.Clone(cfg), e.hier
+	}
 
-	h := cache.NewHierarchy(cfg)
+	// The snapshot outlives this System, so it is bound to its own copy of
+	// the config: cfg points into the System, and keeping that pointer
+	// would pin the whole machine for the life of the process.
+	snapCfg := *cfg
+	h := cache.NewHierarchy(&snapCfg)
 	prefill(h, gen, prof)
+	snap := &prefillSnapshot{hier: h}
+	snap.guard.record(h)
 
 	c.Lock()
 	if c.m == nil {
@@ -261,17 +278,10 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 		delete(c.m, oldest)
 	}
 	c.stamp++
-	// The snapshot outlives this System, so it is bound to its own copy of
-	// the config: cfg points into the System, and keeping that pointer
-	// would pin the whole machine for the life of the process.
-	snapCfg := *cfg
-	snap := &prefillSnapshot{hier: h.Clone(&snapCfg), used: c.stamp}
+	snap.used = c.stamp
 	c.m[k] = snap
 	c.Unlock()
-	// The snapshot's copy doubles as the checkpoint delta baseline: map
-	// entries are cloned on every hit and never mutated, so the reference
-	// stays pristine even after eviction drops it from the map.
-	return h, snap.hier
+	return h.Clone(cfg), h
 }
 
 // prefill warms one core's caches to the measurement steady state
